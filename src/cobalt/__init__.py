@@ -1,13 +1,6 @@
 """Cost-based layer selection and community detection on multi-layer score networks."""
 
-from .build import (
-    build_layer_graph,
-    build_network,
-    extend_mln,
-    inter_layer_weight,
-    intra_layer_weight,
-    normalize_layer,
-)
+from .build import build_network, edge_weight, normalize_layer
 from .community import (
     LeidenConfig,
     LeidenResult,

@@ -9,7 +9,7 @@ is clamped below at ``EPSILON``.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -17,11 +17,11 @@ import numpy as np
 
 from .model import (
     DegenerateLayerError,
+    Edge,
     InsufficientDataError,
     MultiLayerNetwork,
     NodeRef,
     ScoreTable,
-    edge_key,
 )
 
 EPSILON = 1e-9
@@ -57,95 +57,42 @@ def normalize_layer(table: ScoreTable, layer: str) -> LayerNormalization:
     return LayerNormalization(layer, mean, std, dict(zip(entities, z.tolist())))
 
 
-def intra_layer_weight(s_i: float, s_j: float, eps: float = EPSILON) -> float:
-    """Edge weight 1/|s_i - s_j|, clamped to 1/eps for near-identical scores."""
-    return 1.0 / max(abs(s_i - s_j), eps)
-
-
-def inter_layer_weight(s_a: float, s_b: float, eps: float = EPSILON) -> float:
-    """Coupling weight between one entity's normalized scores in two layers."""
-    return 1.0 / max(abs(s_a - s_b), eps)
-
-
-def build_layer_graph(table: ScoreTable, layer: str) -> MultiLayerNetwork:
-    """Complete weighted graph over the entities present in ``layer``."""
-    norm = normalize_layer(table, layer)
-    entities = [e for e in table.entities if e in norm.values]
-    z = np.array([norm.values[e] for e in entities])
-    diff = np.abs(z[:, None] - z[None, :])
-    weights = 1.0 / np.maximum(diff, EPSILON)
-
-    nodes = frozenset(NodeRef(e, layer) for e in entities)
-    intra: dict[tuple[NodeRef, NodeRef], float] = {}
-    n = len(entities)
-    for i in range(n):
-        a = NodeRef(entities[i], layer)
-        for j in range(i + 1, n):
-            b = NodeRef(entities[j], layer)
-            intra[edge_key(a, b)] = float(weights[i, j])
-    return MultiLayerNetwork((layer,), nodes, intra, {})
-
-
-def extend_mln(
-    mln: MultiLayerNetwork, table: ScoreTable, layer: str
-) -> MultiLayerNetwork:
-    """New network = ``mln`` plus the complete graph of ``layer`` plus coupling
-    edges between every shared entity and its copies in all existing layers.
-    """
-    if layer in mln.layers:
-        raise ValueError(f"layer {layer!r} already in network")
-    addition = build_layer_graph(table, layer)
-    new_norm = normalize_layer(table, layer)
-
-    nodes = frozenset(mln.nodes | addition.nodes)
-    intra = dict(mln.intra_edges)
-    intra.update(addition.intra_edges)
-
-    inter = dict(mln.inter_edges)
-    for existing in mln.layers:
-        old_norm = normalize_layer(table, existing)
-        for entity, z_new in new_norm.values.items():
-            z_old = old_norm.values.get(entity)
-            if z_old is None:
-                continue
-            a = NodeRef(entity, existing)
-            b = NodeRef(entity, layer)
-            inter[edge_key(a, b)] = inter_layer_weight(z_old, z_new)
-    return MultiLayerNetwork(mln.layers + (layer,), nodes, intra, inter)
+def edge_weight(z_a, z_b, eps: float = EPSILON):
+    """Weight 1/|z_a - z_b| of an intra-layer or coupling edge, clamped to
+    1/eps for near-identical scores. Accepts scalars or arrays."""
+    return 1.0 / np.maximum(np.abs(z_a - z_b), eps)
 
 
 def build_network(
     table: ScoreTable, layers: Iterable[str] | None = None
 ) -> MultiLayerNetwork:
-    """Complete multi-layer network over ``layers`` (defaults to all layers)."""
+    """Complete multi-layer network over ``layers`` (defaults to all layers).
+
+    Each layer contributes the complete graph over its present entities, and
+    each pair of layers one coupling edge per entity present in both.
+    """
     chosen = tuple(layers) if layers is not None else table.layers
     if not chosen:
         raise ValueError("need at least one layer")
+    norms = [normalize_layer(table, layer) for layer in chosen]
 
-    norms = {layer: normalize_layer(table, layer) for layer in chosen}
-    mln = build_layer_graph(table, chosen[0])
-    nodes = set(mln.nodes)
-    intra = dict(mln.intra_edges)
-    inter: dict[tuple[NodeRef, NodeRef], float] = {}
+    nodes: list[NodeRef] = []
+    intra: dict[Edge, float] = {}
+    for norm in norms:
+        # sorted entities make every i < j pair a canonical edge key
+        refs = [NodeRef(e, norm.layer) for e in sorted(norm.values)]
+        z = np.array([norm.values[r.entity] for r in refs])
+        i, j = np.triu_indices(len(refs), k=1)
+        keys = [(refs[p], refs[q]) for p, q in zip(i.tolist(), j.tolist())]
+        intra.update(zip(keys, edge_weight(z[i], z[j]).tolist()))
+        nodes.extend(refs)
 
-    for idx in range(1, len(chosen)):
-        layer = chosen[idx]
-        addition = build_layer_graph(table, layer)
-        nodes |= addition.nodes
-        intra.update(addition.intra_edges)
-        for prev in chosen[:idx]:
-            prev_values = norms[prev].values
-            for entity, z_new in norms[layer].values.items():
-                z_old = prev_values.get(entity)
-                if z_old is None:
-                    continue
-                a = NodeRef(entity, prev)
-                b = NodeRef(entity, layer)
-                inter[edge_key(a, b)] = inter_layer_weight(z_old, z_new)
+    inter: dict[Edge, float] = {}
+    for a, b in itertools.combinations(norms, 2):
+        lo, hi = sorted((a.layer, b.layer))
+        for entity, z_a in a.values.items():
+            z_b = b.values.get(entity)
+            if z_b is not None:
+                key = (NodeRef(entity, lo), NodeRef(entity, hi))
+                inter[key] = float(edge_weight(z_a, z_b))
     return MultiLayerNetwork(chosen, frozenset(nodes), intra, inter)
-
-
-def expected_intra_edge_count(table: ScoreTable, layer: str) -> int:
-    """C(n, 2) for the entities present in ``layer``; pre-pruning count."""
-    present = sum(1 for e in table.entities if (e, layer) in table.scores)
-    return math.comb(present, 2)

@@ -11,8 +11,6 @@ using ridge regression with seeded k-fold cross-validation.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -104,7 +102,6 @@ def missingness_sweep(
     config: PipelineConfig,
     grid: Sequence[float] | None = None,
     master_seed: int | None = None,
-    max_workers: int | None = None,
 ) -> MissingnessSweepReport:
     """Run the pipeline at every missingness ratio plus the 0% reference.
 
@@ -117,21 +114,15 @@ def missingness_sweep(
         raise ValueError("missingness sweep requires a complete table")
     ratios = tuple(grid) if grid is not None else config.sweep.grid
     base_seed = master_seed if master_seed is not None else config.sweep.master_seed
-    if max_workers is None:
-        max_workers = int(os.environ.get("COBALT_THREADS", "1"))
 
     # selection in NONE mode: the sweep observes every iteration
     cfg = replace(config, selector=replace(config.selector, stopping="NONE"))
     reference = _sweep_entry(table, 0.0, None, cfg)
 
-    jobs = [(r, derive_seed(base_seed, i)) for i, r in enumerate(ratios)]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            entries = list(
-                pool.map(lambda job: _sweep_entry(table, job[0], job[1], cfg), jobs)
-            )
-    else:
-        entries = [_sweep_entry(table, r, s, cfg) for r, s in jobs]
+    entries = [
+        _sweep_entry(table, r, derive_seed(base_seed, i), cfg)
+        for i, r in enumerate(ratios)
+    ]
     return MissingnessSweepReport(
         reference, tuple(entries), {"master_seed": base_seed, "grid": list(ratios)}
     )

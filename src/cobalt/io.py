@@ -220,18 +220,67 @@ def network_to_dict(
     }
 
 
-def network_from_dict(raw: dict) -> MultiLayerNetwork:
-    if raw.get("format") != "cobalt-network":
-        raise InputFormatError("not a network artifact")
-    layers = tuple(raw["layers"])
-    nodes = frozenset(NodeRef(e, l) for e, l in raw["nodes"])
+_NUMBER = (int, float)
+_EDGE = (str, str, str, _NUMBER)
+_MEMBER = (str, str, int)
+
+
+def _field(raw: Any, name: str, kind: type | tuple[type, ...]) -> Any:
+    """``raw[name]`` if present and of type ``kind``; otherwise an
+    :class:`InputFormatError` that names the field."""
+    if name not in raw:
+        raise InputFormatError(f"artifact field {name!r} is missing")
+    value = raw[name]
+    if not isinstance(value, kind):
+        raise InputFormatError(
+            f"artifact field {name!r} has type {type(value).__name__}"
+        )
+    return value
+
+
+def _rows(raw: Any, name: str, kinds: tuple) -> list[list]:
+    """The list field ``name`` whose entries are lists typed by ``kinds``."""
+    rows = _field(raw, name, list)
+    for row in rows:
+        if not (
+            isinstance(row, list)
+            and len(row) == len(kinds)
+            and all(map(isinstance, row, kinds))
+        ):
+            raise InputFormatError(
+                f"artifact field {name!r} holds ill-typed entry {row!r}"
+            )
+    return rows
+
+
+def _layers(raw: dict) -> tuple[str, ...]:
+    layers = _field(raw, "layers", list)
+    if not all(isinstance(layer, str) for layer in layers):
+        raise InputFormatError(
+            f"artifact field 'layers' holds a non-string in {layers!r}"
+        )
+    return tuple(layers)
+
+
+def _artifact(raw: Any, kind: str) -> dict:
+    if not isinstance(raw, dict) or raw.get("format") != f"cobalt-{kind}":
+        raise InputFormatError(
+            f"not a {kind} artifact: needs a JSON object with field 'format'"
+        )
+    return raw
+
+
+def network_from_dict(raw: Any) -> MultiLayerNetwork:
+    raw = _artifact(raw, "network")
+    layers = _layers(raw)
+    nodes = frozenset(NodeRef(e, l) for e, l in _rows(raw, "nodes", (str, str)))
     intra = {
         edge_key(NodeRef(e1, layer), NodeRef(e2, layer)): w
-        for e1, e2, layer, w in raw["intra_edges"]
+        for e1, e2, layer, w in _rows(raw, "intra_edges", _EDGE)
     }
     inter = {
         edge_key(NodeRef(e, la), NodeRef(e, lb)): w
-        for e, la, lb, w in raw["inter_edges"]
+        for e, la, lb, w in _rows(raw, "inter_edges", _EDGE)
     }
     return MultiLayerNetwork(layers, nodes, intra, inter)
 
@@ -250,11 +299,10 @@ def partition_to_dict(partition: Partition, extra: dict | None = None) -> dict:
     return payload
 
 
-def partition_from_dict(raw: dict) -> Partition:
-    if raw.get("format") != "cobalt-partition":
-        raise InputFormatError("not a partition artifact")
-    assignment = {NodeRef(e, l): int(c) for e, l, c in raw["assignment"]}
-    return Partition(assignment, raw["quality"])
+def partition_from_dict(raw: Any) -> Partition:
+    raw = _artifact(raw, "partition")
+    assignment = {NodeRef(e, l): c for e, l, c in _rows(raw, "assignment", _MEMBER)}
+    return Partition(assignment, _field(raw, "quality", _NUMBER))
 
 
 def trace_to_dict(trace: IterationTrace, config: dict | None = None) -> dict:
@@ -288,33 +336,37 @@ def trace_to_dict(trace: IterationTrace, config: dict | None = None) -> dict:
     }
 
 
-def trace_from_dict(raw: dict) -> IterationTrace:
-    if raw.get("format") != "cobalt-trace":
-        raise InputFormatError("not a trace artifact")
+def trace_from_dict(raw: Any) -> IterationTrace:
+    raw = _artifact(raw, "trace")
     records = []
-    for item in raw["iterations"]:
+    for item in _field(raw, "iterations", list):
+        if not isinstance(item, dict):
+            raise InputFormatError(f"artifact field 'iterations' holds {item!r}")
+        layer = _field(item, "layer", str)
+        cost = _field(item, "cost", (*_NUMBER, str, type(None)))
         breakdown = None
-        if item["cost"] is not None:
+        if cost is not None:
             breakdown = LayerCostBreakdown(
-                item["layer"],
-                item["availability"],
-                item["community_similarity"],
-                _json_number(item["cost"]),
+                layer,
+                _field(item, "availability", _NUMBER),
+                _field(item, "community_similarity", _NUMBER),
+                _json_number(cost),
             )
         assignment = {
-            NodeRef(e, l): int(c) for e, l, c in item["partition"]
+            NodeRef(e, l): c for e, l, c in _rows(item, "partition", _MEMBER)
         }
+        modularity = _field(item, "modularity", _NUMBER)
         records.append(
             IterationRecord(
-                index=item["index"],
-                layer=item["layer"],
+                index=_field(item, "index", int),
+                layer=layer,
                 breakdown=breakdown,
-                partition=Partition(assignment, item["modularity"]),
-                modularity=item["modularity"],
-                layers=tuple(item["layers"]),
-                node_count=item["nodes"],
-                intra_edge_count=item["intra_edges"],
-                inter_edge_count=item["inter_edges"],
+                partition=Partition(assignment, modularity),
+                modularity=modularity,
+                layers=_layers(item),
+                node_count=_field(item, "nodes", int),
+                intra_edge_count=_field(item, "intra_edges", int),
+                inter_edge_count=_field(item, "inter_edges", int),
             )
         )
     return IterationTrace(tuple(records))

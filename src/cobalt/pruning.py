@@ -125,10 +125,19 @@ def edge_p_value(count: int, k_i: int, k_j: int, total: int) -> float:
     return float(betainc(count, total - count + 1, p))
 
 
-def _surviving_edges(
-    edges: Mapping[tuple[Hashable, Hashable], float], alpha: float, scale: float
+def prune_graph(
+    edges: Mapping[tuple[Hashable, Hashable], float],
+    alpha: float = DEFAULT_ALPHA,
+    scale: float = DEFAULT_SCALE,
 ) -> dict[tuple[Hashable, Hashable], float]:
-    """Edges of one universe whose p-value is at most ``alpha``."""
+    """Quantize one edge universe, test every edge, keep those whose p-value
+    is at most ``alpha``.
+
+    Survivors keep their original (un-quantized) weights. The node set is the
+    caller's concern: nodes isolated by pruning stay in the network.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"significance level must be in (0, 1], got {alpha}")
     counts = quantize_weights(edges, scale)
     if not counts:
         return {}
@@ -142,26 +151,7 @@ def _surviving_edges(
     if np.any(p > 1.0):
         raise ValueError("null probability > 1; degrees violate the model")
     pvals = betainc(m, total - m + 1.0, p)
-    return {
-        edge: edges[edge]
-        for edge, pv in zip(keys, pvals)
-        if pv <= alpha
-    }
-
-
-def prune_graph(
-    edges: Mapping[tuple[Hashable, Hashable], float],
-    alpha: float = DEFAULT_ALPHA,
-    scale: float = DEFAULT_SCALE,
-) -> dict[tuple[Hashable, Hashable], float]:
-    """Quantize one edge universe, test every edge, keep the significant ones.
-
-    Survivors keep their original (un-quantized) weights. The node set is the
-    caller's concern: nodes isolated by pruning stay in the network.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"significance level must be in (0, 1], got {alpha}")
-    return _surviving_edges(edges, alpha, scale)
+    return {edge: edges[edge] for edge, pv in zip(keys, pvals) if pv <= alpha}
 
 
 def prune_network(
@@ -174,22 +164,17 @@ def prune_network(
     Each layer's intra edges form one universe; each unordered layer pair's
     inter edges form another. Node sets are unchanged.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"significance level must be in (0, 1], got {alpha}")
+    # one universe per set of endpoint layers: every layer, then every pair
+    groups = [(layer,) for layer in mln.layers]
+    groups += itertools.combinations(mln.layers, 2)
+    universes: dict[frozenset[str], dict] = {frozenset(g): {} for g in groups}
+    for edges in (mln.intra_edges, mln.inter_edges):
+        for edge, w in edges.items():
+            universes[frozenset((edge[0].layer, edge[1].layer))][edge] = w
 
     intra: dict = {}
-    for layer in mln.layers:
-        universe = {e: w for e, w in mln.intra_edges.items() if e[0].layer == layer}
-        intra.update(_surviving_edges(universe, alpha, scale))
-
     inter: dict = {}
-    for la, lb in itertools.combinations(mln.layers, 2):
-        pair = {la, lb}
-        universe = {
-            e: w
-            for e, w in mln.inter_edges.items()
-            if {e[0].layer, e[1].layer} == pair
-        }
-        inter.update(_surviving_edges(universe, alpha, scale))
-
+    for group, universe in universes.items():
+        kept = inter if len(group) == 2 else intra
+        kept.update(prune_graph(universe, alpha, scale))
     return MultiLayerNetwork(mln.layers, mln.nodes, intra, inter)

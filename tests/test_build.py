@@ -1,21 +1,18 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from cobalt.build import (
-    build_layer_graph,
-    build_network,
-    extend_mln,
-    inter_layer_weight,
-    intra_layer_weight,
-    normalize_layer,
-)
+from cobalt import build
+from cobalt.build import build_network, edge_weight, normalize_layer
 from cobalt.model import (
     DegenerateLayerError,
     InsufficientDataError,
     NodeRef,
     ScoreTable,
+    edge_key,
 )
 
 finite_scores = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -30,6 +27,25 @@ def table_of(columns: dict[str, list[float | None]]) -> ScoreTable:
             if v is not None:
                 scores[(entities[i], layer)] = float(v)
     return ScoreTable(entities, tuple(columns), scores)
+
+
+def reference_network(table: ScoreTable, layers):
+    """Nodes and weight maps built loop by loop from the definition, with
+    scalar :func:`edge_weight` calls."""
+    z = {layer: normalize_layer(table, layer).values for layer in layers}
+    nodes = {NodeRef(e, layer) for layer in layers for e in z[layer]}
+    intra = {}
+    for layer in layers:
+        for a, b in itertools.combinations(z[layer], 2):
+            key = edge_key(NodeRef(a, layer), NodeRef(b, layer))
+            intra[key] = edge_weight(z[layer][a], z[layer][b])
+    inter = {}
+    for la, lb in itertools.combinations(layers, 2):
+        for e in z[la]:
+            if e in z[lb]:
+                key = edge_key(NodeRef(e, la), NodeRef(e, lb))
+                inter[key] = edge_weight(z[la][e], z[lb][e])
+    return nodes, intra, inter
 
 
 class TestNormalizeLayer:
@@ -69,69 +85,78 @@ class TestNormalizeLayer:
 
 class TestEdgeWeights:
     def test_half_difference(self):
-        assert intra_layer_weight(0.25, 0.75) == pytest.approx(2.0)
+        assert edge_weight(0.25, 0.75) == pytest.approx(2.0)
 
     def test_unit_difference(self):
-        assert intra_layer_weight(1.0, 2.0) == pytest.approx(1.0)
+        assert edge_weight(1.0, 2.0) == pytest.approx(1.0)
 
     def test_zero_difference_clamped(self):
-        assert intra_layer_weight(0.3, 0.3) == pytest.approx(1e9)
+        assert edge_weight(0.3, 0.3) == pytest.approx(1e9)
 
     def test_inter_matches_intra_formula(self):
-        assert inter_layer_weight(0.2, 0.7) == pytest.approx(2.0)
-        assert inter_layer_weight(1.0, 1.0) == pytest.approx(1e9)
-        assert inter_layer_weight(0.0, 4.0) == pytest.approx(0.25)
+        # one function weighs both edge kinds, elementwise over arrays
+        a, b = [0.2, 1.0, 0.0], [0.7, 1.0, 4.0]
+        assert edge_weight(np.array(a), np.array(b)).tolist() == [
+            edge_weight(x, y) for x, y in zip(a, b)
+        ]
+        assert edge_weight(0.2, 0.7) == pytest.approx(2.0)
+        assert edge_weight(1.0, 1.0) == pytest.approx(1e9)
+        assert edge_weight(0.0, 4.0) == pytest.approx(0.25)
 
     @given(finite_scores, finite_scores)
     def test_swap_invariance(self, a, b):
-        assert intra_layer_weight(a, b) == intra_layer_weight(b, a)
+        assert edge_weight(a, b) == edge_weight(b, a)
 
     @given(finite_scores, st.floats(0, 1e6), st.floats(0, 1e6))
     def test_monotone_in_distance(self, s, d1, d2):
         lo, hi = sorted((d1, d2))
-        assert intra_layer_weight(s, s + hi) <= intra_layer_weight(s, s + lo)
+        assert edge_weight(s, s + hi) <= edge_weight(s, s + lo)
 
     @given(finite_scores, finite_scores)
     def test_weight_positive(self, a, b):
-        assert intra_layer_weight(a, b) > 0
+        assert edge_weight(a, b) > 0
 
 
 class TestBuildLayerGraph:
+    """Single-layer networks: ``build_network(table, [layer])``."""
+
     def test_complete_edge_count(self):
-        graph = build_layer_graph(table_of({"A": [1.0, 2.0, 4.0, 8.0, 9.0]}), "A")
+        graph = build_network(table_of({"A": [1.0, 2.0, 4.0, 8.0, 9.0]}), ["A"])
         assert len(graph.intra_edges) == math.comb(5, 2)
 
     def test_two_entities_single_edge(self):
-        graph = build_layer_graph(table_of({"A": [1.0, 2.0]}), "A")
+        graph = build_network(table_of({"A": [1.0, 2.0]}), ["A"])
         assert len(graph.intra_edges) == 1
 
     def test_weights_positive(self):
-        graph = build_layer_graph(table_of({"A": [1.0, 2.0, 4.0]}), "A")
+        graph = build_network(table_of({"A": [1.0, 2.0, 4.0]}), ["A"])
         assert all(w > 0 for w in graph.intra_edges.values())
 
     def test_missing_entities_excluded(self):
-        graph = build_layer_graph(table_of({"A": [1.0, None, 3.0, 5.0]}), "A")
+        graph = build_network(table_of({"A": [1.0, None, 3.0, 5.0]}), ["A"])
         assert NodeRef("e1", "A") not in graph.nodes
         assert len(graph.intra_edges) == math.comb(3, 2)
 
     def test_weight_values_match_normalized_reciprocal(self):
         table = table_of({"A": [1.0, 2.0, 3.0]})
         norm = normalize_layer(table, "A")
-        graph = build_layer_graph(table, "A")
+        graph = build_network(table, ["A"])
         a, b = NodeRef("e0", "A"), NodeRef("e1", "A")
         expected = 1.0 / abs(norm.values["e0"] - norm.values["e1"])
         assert graph.intra_edges[(a, b)] == pytest.approx(expected)
 
 
 class TestExtendMln:
+    """Coupling edges of multi-layer builds: ``build_network(table, layers)``."""
+
     def test_base_case_single_layer(self):
         table = table_of({"A": [1.0, 2.0, 3.0], "B": [2.0, 1.0, 5.0]})
-        base = build_layer_graph(table, "A")
+        base = build_network(table, ["A"])
         assert not base.inter_edges
 
     def test_shared_entities_one_coupling_each(self):
         table = table_of({"A": [1.0, 2.0, 3.0, None], "B": [2.0, 1.0, None, 4.0]})
-        net = extend_mln(build_layer_graph(table, "A"), table, "B")
+        net = build_network(table, ["A", "B"])
         # shared entities are e0, e1
         assert len(net.inter_edges) == 2
         for (a, b) in net.inter_edges:
@@ -141,9 +166,7 @@ class TestExtendMln:
         table = table_of(
             {"A": [1.0, 2.0, 3.0], "B": [2.0, 1.0, 5.0], "C": [0.0, 7.0, 1.0]}
         )
-        net = build_layer_graph(table, "A")
-        net = extend_mln(net, table, "B")
-        net = extend_mln(net, table, "C")
+        net = build_network(table, ["A", "B", "C"])
         per_entity = {}
         for (a, b) in net.inter_edges:
             per_entity[a.entity] = per_entity.get(a.entity, 0) + 1
@@ -158,28 +181,66 @@ class TestExtendMln:
                 "C": [0.0, None, 1.0, 2.0, 3.0],
             }
         )
-        net = build_layer_graph(table, "A")
-        net = extend_mln(net, table, "B")
-        before = len(net.inter_edges)
-        net = extend_mln(net, table, "C")
+        before = len(build_network(table, ["A", "B"]).inter_edges)
+        after = len(build_network(table, ["A", "B", "C"]).inter_edges)
         shared_with_a = {"e0", "e2", "e3"}
         shared_with_b = {"e0", "e4"}
-        assert len(net.inter_edges) - before == len(shared_with_a) + len(shared_with_b)
+        assert after - before == len(shared_with_a) + len(shared_with_b)
 
     def test_duplicate_layer_rejected(self):
         table = table_of({"A": [1.0, 2.0], "B": [3.0, 1.0]})
-        net = build_layer_graph(table, "A")
-        with pytest.raises(ValueError, match="already in network"):
-            extend_mln(net, table, "A")
+        with pytest.raises(ValueError, match="duplicate layer"):
+            build_network(table, ["A", "A"])
 
-    def test_build_network_equals_chained_extend(self):
+    def test_build_network_matches_reference_builder(self):
         table = table_of(
             {"A": [1.0, 2.0, 3.0], "B": [2.0, 1.0, 5.0], "C": [0.0, 7.0, None]}
         )
-        chained = build_layer_graph(table, "A")
-        chained = extend_mln(chained, table, "B")
-        chained = extend_mln(chained, table, "C")
-        direct = build_network(table)
-        assert direct.nodes == chained.nodes
-        assert direct.intra_edges == chained.intra_edges
-        assert direct.inter_edges == chained.inter_edges
+        for layers in (["A", "B", "C"], ["C", "A", "B"]):
+            net = build_network(table, layers)
+            nodes, intra, inter = reference_network(table, layers)
+            assert net.layers == tuple(layers)
+            assert net.nodes == nodes
+            assert net.intra_edges == intra
+            assert net.inter_edges == inter
+
+    def test_normalizes_each_layer_once_and_builds_one_network(self, monkeypatch):
+        calls = {"normalize_layer": 0, "MultiLayerNetwork": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(build, name, counted(name, getattr(build, name)))
+        table = table_of(
+            {"A": [1.0, 2.0, 3.0], "B": [2.0, 1.0, 5.0], "C": [0.0, 7.0, None]}
+        )
+        build.build_network(table)
+        assert calls == {"normalize_layer": 3, "MultiLayerNetwork": 1}
+
+    @given(st.data())
+    def test_matches_reference_builder_with_missing_cells(self, data):
+        n = data.draw(st.integers(2, 8))
+        # entity names out of sorted order exercise canonical edge keys
+        names = [f"e{k}" for k in data.draw(st.permutations(range(10, 10 + n)))]
+        cell = st.one_of(st.none(), st.integers(0, 4), st.floats(-50, 50))
+        layers = ("B", "A", "C")[: data.draw(st.integers(1, 3))]
+        scores = {}
+        for layer in layers:
+            for e, v in zip(names, data.draw(st.lists(cell, min_size=n, max_size=n))):
+                if v is not None:
+                    scores[(e, layer)] = float(v)
+        table = ScoreTable(tuple(names), layers, scores)
+        for layer in layers:
+            values = [v for (_, l), v in scores.items() if l == layer]
+            assume(len(values) >= 2 and np.std(values) > 0)
+
+        net = build_network(table)
+        nodes, intra, inter = reference_network(table, layers)
+        assert net.nodes == nodes
+        assert net.intra_edges == intra
+        assert net.inter_edges == inter

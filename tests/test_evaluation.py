@@ -96,21 +96,6 @@ class TestMissingnessSweep:
         assert derive_seed(5, 0) != derive_seed(5, 1)
         assert derive_seed(5, 0) == derive_seed(5, 0)
 
-    def test_threaded_sweep_matches_serial(self):
-        table = halves_and_parity_table(n=20, seed=2)
-        serial = missingness_sweep(
-            table, PipelineConfig(), grid=[0.2, 0.4], master_seed=7, max_workers=1
-        )
-        threaded = missingness_sweep(
-            table, PipelineConfig(), grid=[0.2, 0.4], master_seed=7, max_workers=2
-        )
-        assert [e.modularity for e in serial.entries] == [
-            e.modularity for e in threaded.entries
-        ]
-        assert [e.removed for e in serial.entries] == [
-            e.removed for e in threaded.entries
-        ]
-
 
 def tiny_population(n=30, seed=3):
     rng = np.random.default_rng(seed)

@@ -292,6 +292,73 @@ class TestCliEvaluate:
         assert "no targets for layer 'C'" in err
 
 
+class TestCliMalformedArtifacts:
+    # a trace iteration with every field but "cost"
+    TRACE_WITHOUT_COST = {
+        "format": "cobalt-trace",
+        "iterations": [
+            {
+                "index": 1,
+                "layer": "A",
+                "layers": ["A"],
+                "modularity": 0.0,
+                "nodes": 3,
+                "intra_edges": 0,
+                "inter_edges": 0,
+                "partition": [["e1", "A", 0], ["e2", "A", 1], ["e3", "A", 2]],
+            }
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("select", {"format": "cobalt-network"}, "layers"),
+            ("select", [], "format"),
+            (
+                "select",
+                {
+                    "format": "cobalt-network",
+                    "layers": ["A"],
+                    "nodes": [[1, "A"], ["x", "A"]],
+                    "intra_edges": [],
+                    "inter_edges": [],
+                },
+                "nodes",
+            ),
+            (
+                "export",
+                {
+                    "format": "cobalt-network",
+                    "layers": [{}],
+                    "nodes": [],
+                    "intra_edges": [],
+                    "inter_edges": [],
+                },
+                "layers",
+            ),
+            ("evaluate", TRACE_WITHOUT_COST, "cost"),
+            ("export", {"format": "cobalt-network"}, "layers"),
+        ],
+    )
+    def test_exits_two_naming_the_field(self, command, payload, field, tmp_path, capsys):
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(json.dumps(payload))
+        out = ["--out-dir", str(tmp_path / "out")]
+        if command == "evaluate":
+            scores = tmp_path / "s.csv"
+            scores.write_text("entity,A\ne1,1\ne2,2\ne3,4\n")
+            cov = tmp_path / "cov.csv"
+            cov.write_text("entity,age,gender\ne1,30,f\ne2,40,m\ne3,50,f\n")
+            tgt = tmp_path / "tgt.csv"
+            tgt.write_text("entity,A_t1\ne1,1\ne2,2\ne3,3\n")
+            argv = ["evaluate", str(scores), str(cov), str(tgt), "--trace", str(artifact)]
+        else:
+            argv = [command, str(artifact)]
+        assert cli.main(argv + out) == 2
+        assert repr(field) in capsys.readouterr().err
+
+
 class TestCliRenderExport:
     def _build_artifacts(self, tmp_path):
         table = halves_and_parity_table(n=12, seed=6)
