@@ -10,6 +10,24 @@ co-assignment directly and carry no null term:
 
 with 2mu twice the total edge weight (intra plus coupling).
 
+Layout. :class:`SupraGraph` keeps its adjacency in plain numpy CSR arrays
+(``indptr``/``indices``/``weights``, one row per vertex, every edge in both
+of its rows) beside per-vertex ``layer_of`` and ``strength``. Vertices are
+ordered by layer, then entity. Each row lists its intra-layer neighbours by
+ascending entity, then its coupling neighbours by ascending layer *name*.
+That row order is canonical: it depends neither on how the edge dicts were
+built nor on the order in which layers were selected, so
+:meth:`SupraGraph.restrict` slices any layer subset out of one build and
+gets the rows a fresh build of that subnetwork would have.
+
+Summation order. Results are reproducible to the bit because every float
+sum that feeds the optimizer or the quality runs one term at a time in row
+order: per-group sums use ``np.bincount(weights=)`` and running totals
+``np.cumsum``, both sequential. ``np.sum``, ``np.add.reduceat`` and BLAS dot
+products add pairwise or in blocks and are not used for such sums. Only
+numpy is imported here; ``scipy.sparse`` would add to the start-up time of
+every command.
+
 The optimizer follows the Leiden scheme: fast local moving with a work
 queue, a refinement phase that rebuilds each community from singletons and
 accepts positive-gain merges with probability proportional to
@@ -24,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -58,49 +76,125 @@ class LeidenConfig:
 
 
 class SupraGraph:
-    """Flattened view of a multi-layer network for community detection."""
+    """Flattened view of a multi-layer network for community detection.
+
+    layers: the network's layer order; ``layer_of[v]`` indexes into it.
+    vertices: node-layer copies, ordered by layer, then entity.
+    indptr, indices, weights: CSR adjacency in the canonical row order.
+    rows: the row (vertex) of every CSR entry.
+    strength: intra-layer strength of every vertex.
+    layer_weight: per layer, the sum of its vertices' strengths.
+    total_weight: intra plus coupling weight, each edge counted once.
+    intra_edge_count, coupling_edge_count: edges of each kind.
+    """
 
     def __init__(self, mln: MultiLayerNetwork):
         layer_index = {layer: i for i, layer in enumerate(mln.layers)}
-        self.layers: tuple[str, ...] = mln.layers
-        self.vertices: list[NodeRef] = sorted(
-            mln.nodes, key=lambda n: (layer_index[n.layer], n.entity)
-        )
-        self.index: dict[NodeRef, int] = {n: i for i, n in enumerate(self.vertices)}
-        self.layer_of = np.array(
-            [layer_index[n.layer] for n in self.vertices], dtype=np.int64
+        vertices = sorted(mln.nodes, key=lambda n: (layer_index[n.layer], n.entity))
+        index = {n: i for i, n in enumerate(vertices)}
+        layer_of = np.array([layer_index[n.layer] for n in vertices], dtype=np.int64)
+        name_rank = np.empty(len(mln.layers), dtype=np.int64)
+        name_rank[sorted(range(len(mln.layers)), key=mln.layers.__getitem__)] = (
+            np.arange(len(mln.layers))
         )
 
-        n = len(self.vertices)
-        # canonical edge order: adjacency (and so float summation order in
-        # the optimizer) must not depend on how the edge dicts were built
-        self.intra: list[dict[int, float]] = [dict() for _ in range(n)]
-        self.coupling: list[dict[int, float]] = [dict() for _ in range(n)]
-        for (a, b) in sorted(mln.intra_edges):
-            w = mln.intra_edges[(a, b)]
-            i, j = self.index[a], self.index[b]
-            self.intra[i][j] = w
-            self.intra[j][i] = w
-        for (a, b) in sorted(mln.inter_edges):
-            w = mln.inter_edges[(a, b)]
-            i, j = self.index[a], self.index[b]
-            self.coupling[i][j] = w
-            self.coupling[j][i] = w
+        ends = []
+        for edges in (mln.intra_edges, mln.inter_edges):
+            a = np.fromiter((index[e[0]] for e in edges), np.int64, len(edges))
+            b = np.fromiter((index[e[1]] for e in edges), np.int64, len(edges))
+            w = np.fromiter(edges.values(), np.float64, len(edges))
+            ends.append((a, b, w))
+        (ia, ib, iw), (ca, cb, cw) = ends
+        rows = np.concatenate([ia, ib, ca, cb])
+        cols = np.concatenate([ib, ia, cb, ca])
+        weights = np.concatenate([iw, iw, cw, cw])
+        coupling = np.repeat([False, True], [2 * len(ia), 2 * len(ca)])
+        # within a layer, vertex order is entity order
+        key = np.where(coupling, name_rank[layer_of[cols]], cols)
+        order = np.lexsort((key, coupling, rows))
+        self._assign(
+            mln.layers, vertices, layer_of, rows[order], cols[order], weights[order]
+        )
 
-        self.strength = np.array(
-            [sum(nbrs.values()) for nbrs in self.intra], dtype=float
+    def _assign(
+        self,
+        layers: tuple[str, ...],
+        vertices: list[NodeRef],
+        layer_of: np.ndarray,
+        rows: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+    ) -> None:
+        n = len(vertices)
+        self.layers: tuple[str, ...] = layers
+        self.vertices: list[NodeRef] = vertices
+        self.layer_of = layer_of
+        self.rows = rows
+        self.indices = indices
+        self.weights = weights
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        intra = layer_of[rows] == layer_of[indices]
+        # a row's intra entries come first and bincount adds them in order
+        self.strength = np.bincount(rows[intra], weights=weights[intra], minlength=n)
+        self.layer_weight = np.bincount(
+            layer_of, weights=self.strength, minlength=len(layers)
         )
-        self.layer_weight = np.zeros(len(mln.layers), dtype=float)
-        for v in range(n):
-            self.layer_weight[self.layer_of[v]] += self.strength[v]
-        # exact sums keep the normalization independent of edge-dict order
-        self.total_weight = math.fsum(mln.intra_edges.values()) + math.fsum(
-            mln.inter_edges.values()
+        once = rows < indices
+        # exact sums keep the normalization independent of edge order
+        self.total_weight = math.fsum(weights[intra & once]) + math.fsum(
+            weights[~intra & once]
         )
+        self.intra_edge_count = int(np.count_nonzero(intra)) // 2
+        self.coupling_edge_count = (len(indices) - int(np.count_nonzero(intra))) // 2
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
+
+    def restrict(self, layers: Iterable[str]) -> "SupraGraph":
+        """Supra-graph of the subnetwork on ``layers``, in that order.
+
+        Equal, array for array, to ``SupraGraph(mln.subnetwork(layers))`` for
+        the network this graph was built from, without rebuilding it.
+        """
+        chosen = tuple(layers)
+        missing = [l for l in chosen if l not in self.layers]
+        if missing:
+            raise ValueError(f"unknown layers {missing}")
+        if len(set(chosen)) != len(chosen):
+            raise ValueError("duplicate layer in network")
+        old = np.array([self.layers.index(l) for l in chosen], dtype=np.int64)
+        # vertices of one layer are contiguous, and so are their rows
+        bounds = np.searchsorted(self.layer_of, np.arange(len(self.layers) + 1))
+        old_ids = _ranges(bounds[old], bounds[old + 1])
+        new_id = np.full(self.vertex_count, -1, dtype=np.int64)
+        new_id[old_ids] = np.arange(len(old_ids))
+        entries = _ranges(self.indptr[bounds[old]], self.indptr[bounds[old + 1]])
+        entries = entries[new_id[self.indices[entries]] >= 0]
+        new_layer = np.full(len(self.layers), -1, dtype=np.int64)
+        new_layer[old] = np.arange(len(old))
+
+        sub = SupraGraph.__new__(SupraGraph)
+        sub._assign(
+            chosen,
+            [self.vertices[v] for v in old_ids.tolist()],
+            new_layer[self.layer_of[old_ids]],
+            new_id[self.rows[entries]],
+            new_id[self.indices[entries]],
+            self.weights[entries],
+        )
+        return sub
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(start, stop)`` over the given pairs."""
+    parts = [np.arange(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _running_total(terms: np.ndarray) -> float:
+    """Sum of ``terms`` added one at a time, left to right."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def multislice_modularity(
@@ -123,25 +217,19 @@ def multislice_modularity(
     except KeyError as exc:
         raise ValueError(f"partition does not cover vertex {exc.args[0]}") from exc
 
-    link = 0.0
-    for i in range(supra.vertex_count):
-        ci = comm[i]
-        for j, w in supra.intra[i].items():
-            if i < j and comm[j] == ci:
-                link += w
-        for j, w in supra.coupling[i].items():
-            if i < j and comm[j] == ci:
-                link += w
+    rows, cols = supra.rows, supra.indices
+    link = _running_total(supra.weights[(rows < cols) & (comm[rows] == comm[cols])])
 
-    null = 0.0
-    group_strength: dict[tuple[int, int], float] = {}
-    for i in range(supra.vertex_count):
-        key = (int(comm[i]), int(supra.layer_of[i]))
-        group_strength[key] = group_strength.get(key, 0.0) + supra.strength[i]
-    for (_, layer), k_sum in group_strength.items():
-        two_m = supra.layer_weight[layer]
-        if two_m > 0.0:
-            null += k_sum * k_sum / two_m
+    # strength of every (community, layer) group, summed over vertices in
+    # order; groups enter the null term in order of first appearance
+    keys = comm * len(supra.layers) + supra.layer_of
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    k_sum = np.bincount(group, weights=supra.strength)
+    order = np.argsort(first)
+    k_sum = k_sum[order]
+    two_m = supra.layer_weight[supra.layer_of[first[order]]]
+    live = two_m > 0.0
+    null = _running_total(k_sum[live] * k_sum[live] / two_m[live])
 
     return (2.0 * link - gamma * null) / (2.0 * supra.total_weight)
 
@@ -167,130 +255,137 @@ class LeidenResult:
 
 
 class _Level:
-    """One aggregation level: super-vertices with merged adjacency."""
+    """One aggregation level: super-vertices with merged CSR adjacency.
 
-    __slots__ = ("n", "adj", "strengths", "members")
+    ``strengths[layer, v]`` is super-vertex v's strength in each layer.
+    ``terms[v]`` lists v's (layer, strength) pairs in order of first
+    appearance among its members; null scores add them in that order.
+    """
+
+    __slots__ = ("n", "indptr", "indices", "weights", "strengths", "terms")
 
     def __init__(
         self,
-        n: int,
-        adj: list[dict[int, float]],
-        strengths: list[dict[int, float]],
-        members: list[list[int]],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        strengths: np.ndarray,
+        terms: list[list[tuple[int, float]]],
     ):
-        self.n = n
-        self.adj = adj
+        self.n = len(terms)
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
         self.strengths = strengths
-        self.members = members
+        self.terms = terms
 
 
 def _level_zero(supra: SupraGraph) -> _Level:
     n = supra.vertex_count
-    adj: list[dict[int, float]] = []
-    for v in range(n):
-        merged = dict(supra.intra[v])
-        for u, w in supra.coupling[v].items():
-            merged[u] = merged.get(u, 0.0) + w
-        adj.append(merged)
-    strengths = [
-        {int(supra.layer_of[v]): float(supra.strength[v])}
-        for v in range(n)
-    ]
-    members = [[v] for v in range(n)]
-    return _Level(n, adj, strengths, members)
+    strengths = np.zeros((len(supra.layers), n))
+    strengths[supra.layer_of, np.arange(n)] = supra.strength
+    terms = [[pair] for pair in zip(supra.layer_of.tolist(), supra.strength.tolist())]
+    return _Level(supra.indptr, supra.indices, supra.weights, strengths, terms)
 
 
-def _null_score(
-    v_strengths: dict[int, float],
-    comm_strengths: dict[int, float],
-    inv_layer_weight: np.ndarray,
-) -> float:
-    """gamma-free part of the null interaction between a vertex and a community."""
+def _null_scores(
+    terms: list[tuple[int, float]],
+    comm_strengths: np.ndarray,
+    comms: np.ndarray | int,
+    inv_layer_weight: list[float],
+):
+    """gamma-free null interaction between a vertex and each of ``comms``,
+    adding the vertex's layers in order."""
     total = 0.0
-    for layer, k in v_strengths.items():
-        other = comm_strengths.get(layer)
-        if other:
-            total += k * other * inv_layer_weight[layer]
+    for layer, k in terms:
+        total = total + k * comm_strengths[layer][comms] * inv_layer_weight[layer]
     return total
 
 
 def _local_move(
     level: _Level,
-    comm: list[int],
-    comm_strengths: dict[int, dict[int, float]],
-    next_id: list[int],
+    comm: np.ndarray,
+    comm_strengths: np.ndarray,
+    next_id: int,
     gamma: float,
-    inv_layer_weight: np.ndarray,
+    inv_layer_weight: list[float],
     rng: np.random.Generator,
-) -> int:
-    """Queue-driven local moving; returns the number of accepted moves."""
-    order = rng.permutation(level.n)
-    queue = deque(int(v) for v in order)
-    queued = [True] * level.n
+) -> tuple[int, np.ndarray, int]:
+    """Queue-driven local moving.
+
+    ``comm_strengths[layer, c]`` is the strength of community c in a layer;
+    it grows when a vertex opens a fresh community. Returns the number of
+    accepted moves, the strength table and the next unused community id.
+    """
+    ptr = level.indptr.tolist()
+    indices, weights = level.indices, level.weights
+    queue = deque(rng.permutation(level.n).tolist())
+    queued = np.ones(level.n, dtype=bool)
+    self_null = [
+        sum(k * k * inv_layer_weight[layer] for layer, k in terms) for terms in level.terms
+    ]
     moves = 0
 
     while queue:
         v = queue.popleft()
         queued[v] = False
-        current = comm[v]
-        v_str = level.strengths[v]
+        current = int(comm[v])
+        terms = level.terms[v]
 
-        weight_to: dict[int, float] = {}
-        for u, w in level.adj[v].items():
-            cu = comm[u]
-            weight_to[cu] = weight_to.get(cu, 0.0) + w
-
-        cur_strengths = comm_strengths[current]
-        self_null = sum(
-            k * k * inv_layer_weight[layer] for layer, k in v_str.items()
+        nbrs = indices[ptr[v] : ptr[v + 1]]
+        nbr_comm = comm[nbrs]
+        weight_to = np.bincount(nbr_comm, weights=weights[ptr[v] : ptr[v + 1]])
+        # edge weights are positive, so linked communities are the nonzeros
+        cands = weight_to.astype(bool).nonzero()[0]
+        scores = weight_to[cands] - gamma * _null_scores(
+            terms, comm_strengths, cands, inv_layer_weight
         )
-        stay_score = weight_to.get(current, 0.0) - gamma * (
-            _null_score(v_str, cur_strengths, inv_layer_weight) - self_null
+
+        stay_link = weight_to[current] if current < weight_to.size else 0.0
+        stay_score = stay_link - gamma * (
+            _null_scores(terms, comm_strengths, current, inv_layer_weight) - self_null[v]
         )
 
         best_comm = current
         best_score = stay_score
-        for cand in sorted(weight_to):
-            if cand == current:
-                continue
-            score = weight_to[cand] - gamma * _null_score(
-                v_str, comm_strengths[cand], inv_layer_weight
-            )
-            if score > best_score + _GAIN_TOL:
+        # only scores above the stay score can ever pass the running test
+        above = (scores > stay_score + _GAIN_TOL).nonzero()[0]
+        for cand, score in zip(cands[above].tolist(), scores[above].tolist()):
+            if cand != current and score > best_score + _GAIN_TOL:
                 best_comm = cand
                 best_score = score
         # a fresh singleton community scores zero; take it when leaving wins
         if 0.0 > best_score + _GAIN_TOL:
-            best_comm = next_id[0]
-            next_id[0] += 1
-            comm_strengths[best_comm] = {}
+            best_comm = next_id
+            next_id += 1
+            if best_comm == comm_strengths.shape[1]:
+                comm_strengths = np.concatenate(
+                    [comm_strengths, np.zeros_like(comm_strengths)], axis=1
+                )
 
         if best_comm == current:
             continue
 
-        for layer, k in v_str.items():
-            cur_strengths[layer] = cur_strengths.get(layer, 0.0) - k
-        dest = comm_strengths[best_comm]
-        for layer, k in v_str.items():
-            dest[layer] = dest.get(layer, 0.0) + k
+        for layer, k in terms:
+            comm_strengths[layer, current] -= k
+            comm_strengths[layer, best_comm] += k
         comm[v] = best_comm
         moves += 1
-        for u in level.adj[v]:
-            if comm[u] != best_comm and not queued[u]:
-                queue.append(u)
-                queued[u] = True
-    return moves
+        wake = nbrs[(nbr_comm != best_comm) & ~queued[nbrs]]
+        queued[wake] = True
+        queue.extend(wake.tolist())
+    return moves, comm_strengths, next_id
 
 
 def _refine(
     level: _Level,
-    comm: list[int],
+    comm: np.ndarray,
     gamma: float,
     theta: float,
     mu: float,
-    inv_layer_weight: np.ndarray,
+    inv_layer_weight: list[float],
     rng: np.random.Generator,
-) -> list[int]:
+) -> np.ndarray:
     """Rebuild every community from singletons with stochastic merges.
 
     Only vertices still alone in their refined community may move, and only
@@ -298,122 +393,147 @@ def _refine(
     Candidates with positive gain are sampled with probability proportional
     to exp(gain / theta); theta = 0 degenerates to the greedy choice.
     """
-    refined = list(range(level.n))
-    ref_strengths: dict[int, dict[int, float]] = {
-        v: dict(level.strengths[v]) for v in range(level.n)
-    }
+    ptr = level.indptr.tolist()
+    indices, weights = level.indices, level.weights
+    refined = np.arange(level.n)
+    ref_strengths = level.strengths.copy()
     ref_size = [1] * level.n
 
-    for v in (int(x) for x in rng.permutation(level.n)):
-        if ref_size[refined[v]] > 1:
+    for v in rng.permutation(level.n).tolist():
+        own = int(refined[v])
+        if ref_size[own] > 1:
             continue
-        parent = comm[v]
-        v_str = level.strengths[v]
-        weight_to: dict[int, float] = {}
-        for u, w in level.adj[v].items():
-            if comm[u] == parent and refined[u] != refined[v]:
-                ru = refined[u]
-                weight_to[ru] = weight_to.get(ru, 0.0) + w
-        if not weight_to:
+        nbrs = indices[ptr[v] : ptr[v + 1]]
+        linked = (comm[nbrs] == comm[v]) & (refined[nbrs] != own)
+        if not linked.any():
             continue
-
-        candidates: list[int] = []
-        gains: list[float] = []
-        for cand in sorted(weight_to):
-            raw = weight_to[cand] - gamma * _null_score(
-                v_str, ref_strengths[cand], inv_layer_weight
-            )
-            if raw > _GAIN_TOL:
-                candidates.append(cand)
-                gains.append(raw / mu)
-        if not candidates:
+        weight_to = np.bincount(
+            refined[nbrs[linked]], weights=weights[ptr[v] : ptr[v + 1]][linked]
+        )
+        cands = weight_to.astype(bool).nonzero()[0]
+        terms = level.terms[v]
+        raw = weight_to[cands] - gamma * _null_scores(
+            terms, ref_strengths, cands, inv_layer_weight
+        )
+        positive = raw > _GAIN_TOL
+        if not positive.any():
             continue
+        candidates = cands[positive]
+        gains = raw[positive] / mu
 
         if theta <= 0.0:
-            chosen = candidates[int(np.argmax(gains))]
+            chosen = int(candidates[int(np.argmax(gains))])
         else:
-            logits = np.array(gains) / theta
-            weights = np.exp(logits - logits.max())
-            probs = weights / weights.sum()
-            chosen = candidates[int(rng.choice(len(candidates), p=probs))]
+            logits = gains / theta
+            odds = np.exp(logits - logits.max())
+            probs = odds / odds.sum()
+            chosen = int(candidates[int(rng.choice(len(candidates), p=probs))])
 
-        old = refined[v]
-        del ref_strengths[old]
-        ref_size[old] = 0
-        dest = ref_strengths[chosen]
-        for layer, k in v_str.items():
-            dest[layer] = dest.get(layer, 0.0) + k
+        ref_size[own] = 0
+        for layer, k in terms:
+            ref_strengths[layer, chosen] += k
         ref_size[chosen] += 1
         refined[v] = chosen
     return refined
 
 
+def _merge_rows(
+    keys: np.ndarray, values: np.ndarray, n_rows: int, n_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR of the entries summed per key ``row * n_cols + col``.
+
+    Entries arrive in the order a dict per row would see them. Each row
+    lists its columns in order of first arrival, and each sum adds its
+    entries in arrival order.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    sums = np.bincount(np.cumsum(first) - 1, weights=values[order])
+    keys = keys[first]
+    seq = np.lexsort((order[first], keys // n_cols))
+    keys = keys[seq]
+    indptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(keys // n_cols, minlength=n_rows)))
+    )
+    return indptr, keys % n_cols, sums[seq]
+
+
 def _aggregate(
-    level: _Level, refined: list[int], comm: list[int]
-) -> tuple[_Level, list[int]]:
-    """Merge refined communities into super-vertices; project communities."""
-    dense: dict[int, int] = {}
-    for v in range(level.n):
-        if refined[v] not in dense:
-            dense[refined[v]] = len(dense)
-    n_new = len(dense)
+    level: _Level, refined: np.ndarray, comm: np.ndarray
+) -> tuple[_Level, np.ndarray, np.ndarray]:
+    """Merge refined communities into super-vertices; project communities.
 
-    adj: list[dict[int, float]] = [dict() for _ in range(n_new)]
-    strengths: list[dict[int, float]] = [dict() for _ in range(n_new)]
-    members: list[list[int]] = [[] for _ in range(n_new)]
-    new_comm = [0] * n_new
+    Returns the new level, its community labels and the super-vertex of
+    every vertex of ``level``.
+    """
+    # super-vertices are numbered by first appearance of their community
+    labels, first = np.unique(refined, return_index=True)
+    n_new = len(labels)
+    dense = np.empty(level.n, dtype=np.int64)
+    dense[labels[np.argsort(first)]] = np.arange(n_new)
+    sv = dense[refined]
+    new_comm = np.empty(n_new, dtype=np.int64)
+    new_comm[sv] = comm
 
-    for v in range(level.n):
-        sv = dense[refined[v]]
-        members[sv].extend(level.members[v])
-        new_comm[sv] = comm[v]
-        tgt = strengths[sv]
-        for layer, k in level.strengths[v].items():
-            tgt[layer] = tgt.get(layer, 0.0) + k
-        row = adj[sv]
-        for u, w in level.adj[v].items():
-            su = dense[refined[u]]
-            if su != sv:
-                row[su] = row.get(su, 0.0) + w
-    return _Level(n_new, adj, strengths, members), new_comm
+    keys = np.repeat(sv * n_new, np.diff(level.indptr)) + sv[level.indices]
+    between = keys // n_new != keys % n_new
+    indptr, indices, weights = _merge_rows(
+        keys[between], level.weights[between], n_new, n_new
+    )
+
+    n_layers = level.strengths.shape[0]
+    pairs = [pair for terms in level.terms for pair in terms]
+    t_ptr, t_layers, t_k = _merge_rows(
+        np.repeat(sv * n_layers, [len(terms) for terms in level.terms])
+        + np.array([layer for layer, _ in pairs], dtype=np.int64),
+        np.array([k for _, k in pairs], dtype=np.float64),
+        n_new,
+        n_layers,
+    )
+    strengths = np.zeros((n_layers, n_new))
+    strengths[t_layers, np.repeat(np.arange(n_new), np.diff(t_ptr))] = t_k
+    layer_list, k_list, bounds = t_layers.tolist(), t_k.tolist(), t_ptr.tolist()
+    terms = [
+        list(zip(layer_list[a:b], k_list[a:b])) for a, b in zip(bounds, bounds[1:])
+    ]
+    return _Level(indptr, indices, weights, strengths, terms), new_comm, sv
 
 
-def _split_disconnected(
-    supra: SupraGraph, assignment: dict[NodeRef, int]
-) -> dict[NodeRef, int]:
+def _community_strengths(level: _Level, comm: np.ndarray, size: int) -> np.ndarray:
+    """Strength of every community in every layer, summed over vertices in order."""
+    return np.stack(
+        [np.bincount(comm, weights=row, minlength=size) for row in level.strengths]
+    )
+
+
+def _split_disconnected(supra: SupraGraph, labels: np.ndarray) -> np.ndarray:
     """Split communities into supra-graph connected components.
 
     Splitting removes no within-community edges, so the link term is intact
-    and the per-layer null term can only shrink; Q never decreases.
+    and the per-layer null term can only shrink; Q never decreases. The
+    pieces are numbered by community label, then by lowest vertex.
     """
-    groups: dict[int, list[int]] = {}
-    for node, label in assignment.items():
-        groups.setdefault(label, []).append(supra.index[node])
+    inside = labels[supra.rows] == labels[supra.indices]
+    rows, cols = supra.rows[inside], supra.indices[inside]
+    root = np.arange(supra.vertex_count)
+    # lowest vertex reachable inside the community, by label propagation
+    # with pointer jumping
+    while True:
+        lowest = root.copy()
+        np.minimum.at(lowest, rows, root[cols])
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, root):
+            break
+        root = lowest
+    _, pieces = np.unique(labels * supra.vertex_count + root, return_inverse=True)
+    return pieces
 
-    result: dict[NodeRef, int] = {}
-    fresh = 0
-    for label in sorted(groups):
-        vertices = groups[label]
-        in_group = set(vertices)
-        unseen = set(vertices)
-        for start in vertices:
-            if start not in unseen:
-                continue
-            component = [start]
-            unseen.discard(start)
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for nbrs in (supra.intra[x], supra.coupling[x]):
-                    for y in nbrs:
-                        if y in unseen and y in in_group:
-                            unseen.discard(y)
-                            component.append(y)
-                            stack.append(y)
-            for v in component:
-                result[supra.vertices[v]] = fresh
-            fresh += 1
-    return {v: result[v] for v in supra.vertices}
+
+def _assignment(supra: SupraGraph, labels: np.ndarray) -> dict[NodeRef, int]:
+    return dict(zip(supra.vertices, labels.tolist()))
 
 
 def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResult:
@@ -435,50 +555,32 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
     inv_layer_weight = np.zeros_like(supra.layer_weight)
     nonzero = supra.layer_weight > 0.0
     inv_layer_weight[nonzero] = 1.0 / supra.layer_weight[nonzero]
+    inv = inv_layer_weight.tolist()
 
     level = _level_zero(supra)
-    comm = list(range(level.n))
-    comm_strengths: dict[int, dict[int, float]] = {
-        v: dict(level.strengths[v]) for v in range(level.n)
-    }
-    next_id = [level.n]
+    comm = np.arange(level.n)
+    comm_strengths = level.strengths.copy()
+    next_id = level.n
+    top = np.arange(level.n)  # level vertex holding each supra-graph vertex
     history: list[float] = []
 
     for _ in range(cfg.max_passes):
-        moves = _local_move(
-            level, comm, comm_strengths, next_id, cfg.gamma, inv_layer_weight, rng
+        moves, comm_strengths, next_id = _local_move(
+            level, comm, comm_strengths, next_id, cfg.gamma, inv, rng
         )
-        flat = _flatten(supra, level, comm)
+        flat = _assignment(supra, comm[top])
         history.append(multislice_modularity(supra, flat, cfg.gamma))
 
-        refined = _refine(
-            level, comm, cfg.gamma, cfg.theta, mu, inv_layer_weight, rng
-        )
-        n_refined = len(set(refined))
-        if moves == 0 and n_refined == level.n:
+        refined = _refine(level, comm, cfg.gamma, cfg.theta, mu, inv, rng)
+        if moves == 0 and len(np.unique(refined)) == level.n:
             break
-        level, comm = _aggregate(level, refined, comm)
-        comm_strengths = {}
-        for v in range(level.n):
-            tgt = comm_strengths.setdefault(comm[v], {})
-            for layer, k in level.strengths[v].items():
-                tgt[layer] = tgt.get(layer, 0.0) + k
-        next_id = [max(comm) + 1]
+        level, comm, sv = _aggregate(level, refined, comm)
+        top = sv[top]
+        next_id = int(comm.max()) + 1
+        comm_strengths = _community_strengths(level, comm, next_id)
 
-    assignment = _flatten(supra, level, comm)
-    assignment = _split_disconnected(supra, assignment)
+    assignment = _assignment(supra, _split_disconnected(supra, comm[top]))
     quality = multislice_modularity(supra, assignment, cfg.gamma)
     history.append(quality)
     partition = canonicalize(Partition(assignment, quality))
     return LeidenResult(partition, quality, tuple(history))
-
-
-def _flatten(
-    supra: SupraGraph, level: _Level, comm: Sequence[int]
-) -> dict[NodeRef, int]:
-    assignment: dict[NodeRef, int] = {}
-    for v in range(level.n):
-        label = comm[v]
-        for orig in level.members[v]:
-            assignment[supra.vertices[orig]] = label
-    return {v: assignment[v] for v in supra.vertices}

@@ -118,24 +118,25 @@ class MultiLayerNetwork:
         for node in self.nodes:
             if node.layer not in layer_set:
                 raise ValueError(f"node {node} references unknown layer")
-        for (a, b), w in self.intra_edges.items():
-            if a.layer != b.layer:
-                raise ValueError(f"intra edge {a}-{b} spans layers")
-            self._check_edge(a, b, w)
-        for (a, b), w in self.inter_edges.items():
-            if a.entity != b.entity or a.layer == b.layer:
-                raise ValueError(f"inter edge {a}-{b} must couple one entity across layers")
-            self._check_edge(a, b, w)
-
-    def _check_edge(self, a: NodeRef, b: NodeRef, w: float) -> None:
-        if a == b:
-            raise ValueError(f"self-loop on {a}")
-        if (a, b) != edge_key(a, b):
-            raise ValueError(f"edge {a}-{b} not in canonical order")
-        if a not in self.nodes or b not in self.nodes:
-            raise ValueError(f"edge {a}-{b} has endpoint outside node set")
-        if not (w > 0.0) or not math.isfinite(w):
-            raise ValueError(f"edge {a}-{b} has non-positive weight {w}")
+        nodes = self.nodes
+        for intra, edges in ((True, self.intra_edges), (False, self.inter_edges)):
+            for (a, b), w in edges.items():
+                if intra:
+                    if a.layer != b.layer:
+                        raise ValueError(f"intra edge {a}-{b} spans layers")
+                elif a.entity != b.entity or a.layer == b.layer:
+                    raise ValueError(
+                        f"inter edge {a}-{b} must couple one entity across layers"
+                    )
+                if a == b:
+                    raise ValueError(f"self-loop on {a}")
+                # once a != b, the canonical key edge_key(a, b) is (a, b) iff a < b
+                if not a < b:
+                    raise ValueError(f"edge {a}-{b} not in canonical order")
+                if a not in nodes or b not in nodes:
+                    raise ValueError(f"edge {a}-{b} has endpoint outside node set")
+                if not (w > 0.0) or not math.isfinite(w):
+                    raise ValueError(f"edge {a}-{b} has non-positive weight {w}")
 
     def layer_nodes(self, layer: str) -> set[str]:
         return {n.entity for n in self.nodes if n.layer == layer}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .build import build_network
+from .community import SupraGraph
 from .config import PipelineConfig
 from .model import MultiLayerNetwork, ScoreTable, validate_score_table
 from .pruning import prune_network
@@ -24,13 +25,8 @@ def build_pruned_network(table: ScoreTable, config: PipelineConfig) -> MultiLaye
     )
 
 
-def layer_graphs(pruned: MultiLayerNetwork) -> dict[str, MultiLayerNetwork]:
-    """Single-layer subnetworks of a pruned network, in layer order."""
-    return {layer: pruned.subnetwork([layer]) for layer in pruned.layers}
-
-
 def initialize(pruned: MultiLayerNetwork, config: PipelineConfig) -> InitResult:
-    return cobalt_init(layer_graphs(pruned), config.leiden)
+    return cobalt_init(SupraGraph(pruned), config.leiden)
 
 
 def run_selection(table: ScoreTable, config: PipelineConfig) -> IterationTrace:

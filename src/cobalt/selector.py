@@ -133,20 +133,19 @@ def layer_cost(
     return LayerCostBreakdown(layer, availability, similarity, cost)
 
 
-def cobalt_init(
-    graphs: Mapping[str, MultiLayerNetwork], cfg: LeidenConfig
-) -> InitResult:
+def cobalt_init(supra: SupraGraph, cfg: LeidenConfig) -> InitResult:
     """Run detection on every single-layer graph and pick the best modularity.
 
-    Ties go to the earlier layer in input order.
+    Each single-layer graph is sliced out of ``supra``. Ties go to the
+    earlier layer in ``supra.layers``.
     """
-    if not graphs:
-        raise ValueError("no graphs to initialize from")
+    if not supra.layers:
+        raise ValueError("no layers to initialize from")
     singles: dict[str, LeidenResult] = {}
     best_layer: str | None = None
     best_q = -math.inf
-    for layer, graph in graphs.items():
-        result = leiden(SupraGraph(graph), cfg)
+    for layer in supra.layers:
+        result = leiden(supra.restrict([layer]), cfg)
         singles[layer] = result
         if result.quality > best_q:
             best_layer = layer
@@ -183,8 +182,7 @@ def _record(
     layer: str,
     breakdown: LayerCostBreakdown | None,
     result: LeidenResult,
-    network: MultiLayerNetwork,
-    layer_order: Sequence[str],
+    graph: SupraGraph,
 ) -> IterationRecord:
     return IterationRecord(
         index=index,
@@ -192,10 +190,10 @@ def _record(
         breakdown=breakdown,
         partition=result.partition,
         modularity=result.quality,
-        layers=tuple(layer_order),
-        node_count=len(network.nodes),
-        intra_edge_count=len(network.intra_edges),
-        inter_edge_count=len(network.inter_edges),
+        layers=graph.layers,
+        node_count=graph.vertex_count,
+        intra_edge_count=graph.intra_edge_count,
+        inter_edge_count=graph.coupling_edge_count,
     )
 
 
@@ -208,23 +206,23 @@ def cobalt_select(
 ) -> IterationTrace:
     """Grow the network one least-cost layer at a time.
 
-    ``pruned`` is the significance-filtered network over all layers; each
-    iteration's incumbent is its induced subnetwork on the selected layers,
-    so intra edges and couplings both arrive already filtered. Candidate
-    partitions for the similarity term stay frozen at their single-layer
-    versions from initialization. Ties on cost go to higher availability,
-    then input order.
+    ``pruned`` is the significance-filtered network over all layers; it is
+    flattened once, and each iteration's incumbent is the slice of that
+    supra-graph on the selected layers, so intra edges and couplings both
+    arrive already filtered. Candidate partitions for the similarity term
+    stay frozen at their single-layer versions from initialization. Ties on
+    cost go to higher availability, then input order.
     """
     if stopping not in STOPPING_MODES:
         raise ValueError(f"unknown stopping mode {stopping!r}")
     order = tuple(candidate_order) if candidate_order is not None else pruned.layers
     layer_entities = {layer: pruned.layer_nodes(layer) for layer in order}
 
+    supra = SupraGraph(pruned)
     selected = [init.best_layer]
-    incumbent_net = pruned.subnetwork(selected)
     incumbent_result = init.best
     records = [
-        _record(1, init.best_layer, None, incumbent_result, incumbent_net, selected)
+        _record(1, init.best_layer, None, incumbent_result, supra.restrict(selected))
     ]
     candidates = [l for l in order if l != init.best_layer]
 
@@ -252,17 +250,10 @@ def cobalt_select(
 
         selected.append(best.layer)
         candidates.remove(best.layer)
-        incumbent_net = pruned.subnetwork(selected)
-        incumbent_result = leiden(SupraGraph(incumbent_net), cfg)
+        incumbent = supra.restrict(selected)
+        incumbent_result = leiden(incumbent, cfg)
         records.append(
-            _record(
-                len(records) + 1,
-                best.layer,
-                best,
-                incumbent_result,
-                incumbent_net,
-                selected,
-            )
+            _record(len(records) + 1, best.layer, best, incumbent_result, incumbent)
         )
         trace = IterationTrace(tuple(records))
     return trace

@@ -8,7 +8,7 @@ package code is checked against an independent path, not against itself.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -196,6 +196,93 @@ def newman_girvan_modularity(
     for k_sum in by_comm.values():
         q -= gamma * (k_sum / two_m) ** 2
     return q
+
+
+# ---------------------------------------------------------------------------
+# dict-of-dicts supra-graph: the reference the CSR SupraGraph must equal
+
+
+class ReferenceSupraGraph:
+    """Supra-graph as one neighbour dict per vertex, built edge by edge.
+
+    Rows are filled in sorted edge-key order, so intra neighbours ascend by
+    entity and coupling neighbours by layer name. Every sum adds one term at
+    a time in row order, written as an explicit loop so it does not depend
+    on how ``sum`` adds floats.
+    """
+
+    def __init__(self, mln: MultiLayerNetwork):
+        layer_index = {layer: i for i, layer in enumerate(mln.layers)}
+        self.layers = mln.layers
+        self.vertices = sorted(mln.nodes, key=lambda n: (layer_index[n.layer], n.entity))
+        self.index = {n: i for i, n in enumerate(self.vertices)}
+        self.layer_of = [layer_index[n.layer] for n in self.vertices]
+        n = len(self.vertices)
+        self.intra: list[dict[int, float]] = [dict() for _ in range(n)]
+        self.coupling: list[dict[int, float]] = [dict() for _ in range(n)]
+        for edges, rows in ((mln.intra_edges, self.intra), (mln.inter_edges, self.coupling)):
+            for (a, b) in sorted(edges):
+                i, j = self.index[a], self.index[b]
+                rows[i][j] = edges[(a, b)]
+                rows[j][i] = edges[(a, b)]
+        self.strength = []
+        for nbrs in self.intra:
+            total = 0.0
+            for w in nbrs.values():
+                total += w
+            self.strength.append(total)
+        self.layer_weight = [0.0] * len(mln.layers)
+        for v in range(n):
+            self.layer_weight[self.layer_of[v]] += self.strength[v]
+        self.total_weight = math.fsum(mln.intra_edges.values()) + math.fsum(
+            mln.inter_edges.values()
+        )
+
+    def row(self, v: int) -> list[tuple[int, float]]:
+        """Adjacency row of ``v``: intra neighbours, then couplings."""
+        return list(self.intra[v].items()) + list(self.coupling[v].items())
+
+
+def reference_modularity(
+    ref: ReferenceSupraGraph, assignment: Mapping[NodeRef, int], gamma: float = 1.0
+) -> float:
+    """Multislice modularity as a loop over rows, then over groups in order
+    of first appearance."""
+    comm = [assignment[v] for v in ref.vertices]
+    link = 0.0
+    for i in range(len(comm)):
+        for j, w in ref.row(i):
+            if i < j and comm[j] == comm[i]:
+                link += w
+    group_strength: dict[tuple[int, int], float] = {}
+    for i in range(len(comm)):
+        key = (comm[i], ref.layer_of[i])
+        group_strength[key] = group_strength.get(key, 0.0) + ref.strength[i]
+    null = 0.0
+    for (_, layer), k_sum in group_strength.items():
+        two_m = ref.layer_weight[layer]
+        if two_m > 0.0:
+            null += k_sum * k_sum / two_m
+    return (2.0 * link - gamma * null) / (2.0 * ref.total_weight)
+
+
+def communities_connected(
+    mln: MultiLayerNetwork, assignment: Mapping[NodeRef, int]
+) -> bool:
+    """Whether every community induces a connected subgraph of ``mln``."""
+    parent = {v: v for v in assignment}
+
+    def find(x: NodeRef) -> NodeRef:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in chain(mln.intra_edges, mln.inter_edges):
+        if assignment[a] == assignment[b]:
+            parent[find(a)] = find(b)
+    roots = {find(v) for v in assignment}
+    return len(roots) == len(set(assignment.values()))
 
 
 # ---------------------------------------------------------------------------

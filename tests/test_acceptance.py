@@ -19,7 +19,7 @@ from cobalt.compare import bidirectional_f, one_way_f
 from cobalt.config import PipelineConfig
 from cobalt.evaluation import cross_validate, fit_ridge, missingness_sweep
 from cobalt.model import ScoreTable
-from cobalt.pipeline import build_pruned_network, layer_graphs
+from cobalt.pipeline import build_pruned_network
 from cobalt.pruning import (
     edge_null_probability,
     edge_p_value,
@@ -39,6 +39,7 @@ from cobalt.selector import (
 from _support import (
     best_partition_by_enumeration,
     co_membership,
+    communities_connected,
     halves_and_parity_table,
     least_squares_oracle,
     mln_from_edges,
@@ -183,31 +184,11 @@ def test_leiden_clique_recovery():
         assert result.quality == pytest.approx(
             multislice_modularity(supra, result.partition), abs=1e-9
         )
-        assert _communities_connected(supra, result.partition.assignment)
+        assert communities_connected(net, result.partition.assignment)
         if co_membership(result.partition.assignment) == planted:
             recovered += 1
             assert result.quality == pytest.approx(optimum, abs=1e-9)
     assert recovered >= 95
-
-
-def _communities_connected(supra, assignment):
-    groups = {}
-    for node, comm in assignment.items():
-        groups.setdefault(comm, []).append(supra.index[node])
-    for members in groups.values():
-        member_set = set(members)
-        seen = {members[0]}
-        stack = [members[0]]
-        while stack:
-            v = stack.pop()
-            for nbrs in (supra.intra[v], supra.coupling[v]):
-                for u in nbrs:
-                    if u in member_set and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-        if seen != member_set:
-            return False
-    return True
 
 
 def grid_table():
@@ -231,7 +212,7 @@ def test_cost_prefers_novel_communities():
     pruned = build_pruned_network(table, PipelineConfig())
     for seed in range(10):
         cfg = LeidenConfig(seed=seed)
-        init = cobalt_init(layer_graphs(pruned), cfg)
+        init = cobalt_init(SupraGraph(pruned), cfg)
         assert init.best_layer in ("rows", "twin")
         twin = "twin" if init.best_layer == "rows" else "rows"
 

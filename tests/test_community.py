@@ -1,5 +1,7 @@
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cobalt.community import (
     LeidenConfig,
@@ -11,12 +13,15 @@ from cobalt.community import (
 from cobalt.model import MultiLayerNetwork, NodeRef, Partition
 
 from _support import (
+    ReferenceSupraGraph,
     best_partition_by_enumeration,
     clique_edges,
     co_membership,
+    communities_connected,
     mln_from_edges,
     modularity_oracle,
     newman_girvan_modularity,
+    reference_modularity,
     two_cliques_bridged,
     two_triangles,
 )
@@ -210,7 +215,7 @@ class TestLeiden:
         supra = SupraGraph(net)
         for seed in range(10):
             result = leiden(supra, LeidenConfig(seed=seed))
-            assert _communities_connected(supra, result.partition)
+            assert communities_connected(net, result.partition.assignment)
 
     def test_couplings_pull_layers_together(self):
         # same two groups in both layers; strong couplings must align the
@@ -234,26 +239,6 @@ class TestLeiden:
         assert result.partition.community_count() == 2
 
 
-def _communities_connected(supra: SupraGraph, partition: Partition) -> bool:
-    groups: dict[int, list[int]] = {}
-    for node, comm in partition.assignment.items():
-        groups.setdefault(comm, []).append(supra.index[node])
-    for members in groups.values():
-        member_set = set(members)
-        seen = {members[0]}
-        stack = [members[0]]
-        while stack:
-            v = stack.pop()
-            for nbrs in (supra.intra[v], supra.coupling[v]):
-                for u in nbrs:
-                    if u in member_set and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-        if seen != member_set:
-            return False
-    return True
-
-
 class TestCanonicalizeEdgeCases:
     def test_already_canonical_unchanged(self):
         nodes = [NodeRef(e, "L") for e in "abc"]
@@ -263,3 +248,160 @@ class TestCanonicalizeEdgeCases:
     def test_quality_carried_through(self):
         part = Partition({NodeRef("a", "L"): 4}, 0.25)
         assert canonicalize(part).quality == 0.25
+
+
+# weights spanning six decades, plus the tie weight 1/(2 * 1e-9), so that
+# any change in summation order shows in the last bits
+edge_weights = st.floats(1e-3, 1e3) | st.just(5e8)
+
+
+@st.composite
+def multilayer_networks(draw):
+    """Random network: layers named out of alphabetical order, entities
+    missing from some layers, random intra edges and couplings."""
+    layers = draw(st.lists(st.sampled_from("DBECA"), min_size=1, max_size=4, unique=True))
+    entities = draw(
+        st.lists(st.text("qzab", min_size=1, max_size=2), min_size=2, max_size=12, unique=True)
+    )
+    present = {
+        layer: [e for e in entities if draw(st.booleans())] for layer in layers
+    }
+    layer_edges = {
+        layer: [
+            (a, b, draw(edge_weights))
+            for i, a in enumerate(members)
+            for b in members[i + 1 :]
+            if draw(st.booleans())
+        ]
+        for layer, members in present.items()
+    }
+    couplings = [
+        (e, la, lb, draw(edge_weights))
+        for i, la in enumerate(layers)
+        for lb in layers[i + 1 :]
+        for e in entities
+        if e in present[la] and e in present[lb] and draw(st.booleans())
+    ]
+    extra = [(e, layer) for layer, members in present.items() for e in members]
+    return mln_from_edges(layer_edges, couplings, extra)
+
+
+def assert_matches_reference(supra: SupraGraph, ref: ReferenceSupraGraph) -> None:
+    assert supra.layers == ref.layers
+    assert supra.vertices == ref.vertices
+    assert supra.layer_of.tolist() == ref.layer_of
+    assert supra.strength.tolist() == ref.strength
+    assert supra.layer_weight.tolist() == ref.layer_weight
+    assert supra.total_weight == ref.total_weight
+    ptr = supra.indptr.tolist()
+    for v in range(supra.vertex_count):
+        row = zip(supra.indices[ptr[v] : ptr[v + 1]].tolist(), supra.weights[ptr[v] : ptr[v + 1]].tolist())
+        assert list(row) == ref.row(v)
+    assert supra.intra_edge_count == sum(map(len, ref.intra)) // 2
+    assert supra.coupling_edge_count == sum(map(len, ref.coupling)) // 2
+
+
+class TestSupraGraphMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(multilayer_networks())
+    def test_arrays_equal_dict_reference(self, net):
+        assert_matches_reference(SupraGraph(net), ReferenceSupraGraph(net))
+
+    @settings(max_examples=80, deadline=None)
+    @given(multilayer_networks(), st.data())
+    def test_modularity_equals_loop_reference(self, net, data):
+        supra, ref = SupraGraph(net), ReferenceSupraGraph(net)
+        assume(supra.total_weight > 0.0)
+        labels = data.draw(
+            st.lists(st.integers(-1, 2), min_size=supra.vertex_count, max_size=supra.vertex_count)
+        )
+        part = dict(zip(supra.vertices, labels))
+        for gamma in (0.5, 1.0, 1.7):
+            assert multislice_modularity(supra, part, gamma) == reference_modularity(
+                ref, part, gamma
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(multilayer_networks(), st.data())
+    def test_restrict_equals_fresh_build(self, net, data):
+        order = data.draw(st.permutations(net.layers))
+        chosen = order[: data.draw(st.integers(0, len(order)))]
+        sliced = SupraGraph(net).restrict(chosen)
+        sub = net.subnetwork(chosen)
+        assert_matches_reference(sliced, ReferenceSupraGraph(sub))
+        fresh = SupraGraph(sub)
+        for name in ("indptr", "indices", "rows", "weights", "layer_of", "strength"):
+            assert np.array_equal(getattr(sliced, name), getattr(fresh, name)), name
+
+    def test_restrict_rejects_unknown_and_repeated_layers(self):
+        supra = SupraGraph(networks_with_couplings())
+        with pytest.raises(ValueError, match="unknown layers"):
+            supra.restrict(["A", "Z"])
+        with pytest.raises(ValueError, match="duplicate layer"):
+            supra.restrict(["A", "A"])
+
+    def test_leiden_on_slice_equals_leiden_on_subnetwork(self):
+        net = networks_with_couplings()
+        supra = SupraGraph(net)
+        for chosen in (["B"], ["B", "A"], ["A", "B"]):
+            sliced = leiden(supra.restrict(chosen), LeidenConfig(seed=3))
+            fresh = leiden(SupraGraph(net.subnetwork(chosen)), LeidenConfig(seed=3))
+            assert sliced == fresh
+
+
+def networks_with_couplings() -> MultiLayerNetwork:
+    members = [f"a{i}" for i in range(4)] + [f"b{i}" for i in range(4)]
+    return mln_from_edges(
+        {
+            "B": clique_edges(members[:4], 1.5) + clique_edges(members[4:]) + [("a0", "b0", 0.3)],
+            "A": clique_edges(members[:4]) + clique_edges(members[4:], 2.0),
+        },
+        couplings=[(e, "A", "B", 0.7) for e in members[::2]],
+    )
+
+
+def random_weighted_graph(rng, groups: int, size: int, p_in: float, p_out: float):
+    """Entity edges of a planted-partition graph with random weights."""
+    names = [f"v{i:02d}" for i in range(groups * size)]
+    edges = []
+    for i, a in enumerate(names):
+        for j in range(i + 1, len(names)):
+            p = p_in if i // size == j // size else p_out
+            if rng.random() < p:
+                edges.append((a, names[j], float(rng.uniform(0.5, 2.0))))
+    return edges
+
+
+class TestNetworkxOracles:
+    def test_single_layer_modularity_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(3)
+        edges = random_weighted_graph(rng, groups=3, size=10, p_in=0.5, p_out=0.1)
+        net = mln_from_edges({"L": edges})
+        supra = SupraGraph(net)
+        graph = nx.Graph()
+        graph.add_weighted_edges_from(edges)
+        for _ in range(5):
+            labels = rng.integers(0, 4, supra.vertex_count).tolist()
+            part = dict(zip(supra.vertices, labels))
+            blocks = {}
+            for node, label in part.items():
+                blocks.setdefault(label, set()).add(node.entity)
+            for gamma in (0.7, 1.0, 1.5):
+                expected = nx.community.modularity(
+                    graph, list(blocks.values()), weight="weight", resolution=gamma
+                )
+                assert abs(multislice_modularity(supra, part, gamma) - expected) <= 1e-12
+
+    def test_leiden_quality_at_least_louvain_on_60_nodes(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(7)
+        edges = random_weighted_graph(rng, groups=4, size=15, p_in=0.3, p_out=0.05)
+        graph = nx.Graph()
+        graph.add_weighted_edges_from(edges)
+        louvain = nx.community.louvain_communities(graph, weight="weight", seed=0)
+        louvain_q = nx.community.modularity(graph, louvain, weight="weight")
+        net = mln_from_edges({"L": edges})
+        assert len(net.nodes) == 60
+        result = leiden(SupraGraph(net), LeidenConfig(seed=0))
+        assert result.quality >= louvain_q - 1e-12

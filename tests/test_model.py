@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cobalt.community import canonicalize
@@ -129,6 +131,35 @@ class TestNetworkInvariants:
         assert sub.layers == ("A",)
         assert sub.nodes == frozenset({a1, b1})
         assert not sub.inter_edges
+
+
+_A1, _A2, _B1 = NodeRef("e1", "A"), NodeRef("e2", "A"), NodeRef("e1", "B")
+_C2 = NodeRef("e2", "B")
+_ALL = frozenset({_A1, _A2, _B1, _C2})
+
+
+@pytest.mark.parametrize(
+    "layers, nodes, intra, inter, message",
+    [
+        (("A", "A"), frozenset(), {}, {}, "duplicate layer in network"),
+        (("A",), frozenset({_A1, _B1}), {}, {}, "references unknown layer"),
+        (("A", "B"), _ALL, {(_A1, _B1): 1.0}, {}, "intra edge .* spans layers"),
+        (("A", "B"), _ALL, {}, {(_A1, _C2): 1.0}, "must couple one entity across layers"),
+        (("A", "B"), _ALL, {}, {(_A1, _A1): 1.0}, "must couple one entity across layers"),
+        (("A", "B"), _ALL, {(_A1, _A1): 1.0}, {}, "self-loop on"),
+        (("A", "B"), _ALL, {(_A2, _A1): 1.0}, {}, "not in canonical order"),
+        (("A", "B"), _ALL, {}, {(_B1, _A1): 1.0}, "not in canonical order"),
+        (("A", "B"), frozenset({_A1}), {(_A1, _A2): 1.0}, {}, "endpoint outside node set"),
+        (("A", "B"), frozenset({_A1}), {}, {(_A1, _B1): 1.0}, "endpoint outside node set"),
+        (("A", "B"), _ALL, {(_A1, _A2): 0.0}, {}, "non-positive weight"),
+        (("A", "B"), _ALL, {(_A1, _A2): -1.0}, {}, "non-positive weight"),
+        (("A", "B"), _ALL, {}, {(_A1, _B1): math.nan}, "non-positive weight"),
+        (("A", "B"), _ALL, {}, {(_A1, _B1): math.inf}, "non-positive weight"),
+    ],
+)
+def test_each_network_rule_raises_its_message(layers, nodes, intra, inter, message):
+    with pytest.raises(ValueError, match=message):
+        MultiLayerNetwork(layers, nodes, intra, inter)
 
 
 class TestCanonicalize:

@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from cobalt.community import LeidenConfig
+from cobalt.community import LeidenConfig, SupraGraph
 from cobalt.config import PipelineConfig
-from cobalt.model import NodeRef, Partition
-from cobalt.pipeline import layer_graphs, run_selection
+from cobalt.model import MultiLayerNetwork, NodeRef, Partition
+from cobalt.pipeline import run_selection
 from cobalt.selector import (
     IterationRecord,
     IterationTrace,
@@ -113,15 +113,14 @@ def networks_for_init():
 
 class TestCobaltInit:
     def test_picks_highest_modularity(self):
-        graphs = layer_graphs(networks_for_init())
-        init = cobalt_init(graphs, LeidenConfig(seed=0))
+        init = cobalt_init(SupraGraph(networks_for_init()), LeidenConfig(seed=0))
         assert init.best_layer == "hi"
         qs = {l: r.quality for l, r in init.singles.items()}
         assert qs["hi"] == max(qs.values())
 
     def test_single_graph(self):
         net = mln_from_edges({"only": clique_edges(["a", "b", "c"])})
-        init = cobalt_init(layer_graphs(net), LeidenConfig(seed=0))
+        init = cobalt_init(SupraGraph(net), LeidenConfig(seed=0))
         assert init.best_layer == "only"
 
     def test_tie_prefers_input_order(self):
@@ -131,13 +130,14 @@ class TestCobaltInit:
                 "second": five_clique_layer("a") + five_clique_layer("b"),
             }
         )
-        init = cobalt_init(layer_graphs(net), LeidenConfig(seed=0))
+        init = cobalt_init(SupraGraph(net), LeidenConfig(seed=0))
         assert init.singles["first"].quality == init.singles["second"].quality
         assert init.best_layer == "first"
 
     def test_empty_errors(self):
-        with pytest.raises(ValueError, match="no graphs"):
-            cobalt_init({}, LeidenConfig())
+        empty = MultiLayerNetwork((), frozenset(), {}, {})
+        with pytest.raises(ValueError, match="no layers"):
+            cobalt_init(SupraGraph(empty), LeidenConfig())
 
 
 def fake_trace(availability: list[float], similarity: list[float]) -> IterationTrace:
@@ -213,7 +213,7 @@ class TestCobaltSelect:
                 "other": clique_edges([f"a{i}" for i in range(5)]),
             }
         )
-        init = cobalt_init(layer_graphs(net), LeidenConfig(seed=0))
+        init = cobalt_init(SupraGraph(net), LeidenConfig(seed=0))
         trace = cobalt_select(net, init, LeidenConfig(seed=0))
         assert [r.index for r in trace.records] == [1, 2]
         assert trace.records[1].layer == "other"
@@ -226,7 +226,7 @@ class TestCobaltSelect:
                 "familiar": clique_edges([f"a{i}" for i in range(5)]),
             }
         )
-        init = cobalt_init(layer_graphs(net), LeidenConfig(seed=0))
+        init = cobalt_init(SupraGraph(net), LeidenConfig(seed=0))
         trace = cobalt_select(net, init, LeidenConfig(seed=0))
         assert trace.records[1].layer == "familiar"
         stranger = [r for r in trace.records if r.layer == "stranger"]
@@ -234,7 +234,7 @@ class TestCobaltSelect:
 
     def test_availability_ladder_orders_selection(self):
         net = selection_fixture()
-        init = cobalt_init(layer_graphs(net), LeidenConfig(seed=0))
+        init = cobalt_init(SupraGraph(net), LeidenConfig(seed=0))
         assert init.best_layer == "base"
         trace = cobalt_select(net, init, LeidenConfig(seed=0))
         assert [r.layer for r in trace.records] == ["base", "full", "half", "thin"]
@@ -243,7 +243,7 @@ class TestCobaltSelect:
 
     def test_sc1_stops_at_availability_drop(self):
         net = selection_fixture()
-        init = cobalt_init(layer_graphs(net), LeidenConfig(seed=0))
+        init = cobalt_init(SupraGraph(net), LeidenConfig(seed=0))
         trace = cobalt_select(net, init, LeidenConfig(seed=0), stopping="SC1")
         # iteration 3 drops availability 0.8 -> 0.5, so the run ends there
         assert [r.layer for r in trace.records] == ["base", "full", "half"]
@@ -267,7 +267,7 @@ class TestCobaltSelect:
             ["a2", "a3", "b2", "b3"]
         )
         net = mln_from_edges({"base": base, "twin": base, "cross": cross})
-        init = cobalt_init(layer_graphs(net), LeidenConfig(seed=0))
+        init = cobalt_init(SupraGraph(net), LeidenConfig(seed=0))
         assert init.best_layer == "base"
         # cost breakdowns of both candidates against the initial incumbent
         p_inc = project_partition(init.best.partition, ["base"])
@@ -284,7 +284,7 @@ class TestCobaltSelect:
 
     def test_trace_invariants(self):
         net = selection_fixture()
-        init = cobalt_init(layer_graphs(net), LeidenConfig(seed=1))
+        init = cobalt_init(SupraGraph(net), LeidenConfig(seed=1))
         trace = cobalt_select(net, init, LeidenConfig(seed=1))
         layers = [r.layer for r in trace.records]
         assert len(set(layers)) == len(layers)
