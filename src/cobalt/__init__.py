@@ -39,11 +39,8 @@ from .model import (
 )
 from .pipeline import build_pruned_network, initialize, run_selection
 from .pruning import (
-    NullModelContext,
     edge_null_probability,
     edge_p_value,
-    null_context,
-    prune_graph,
     prune_network,
     quantize_weights,
 )

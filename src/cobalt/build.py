@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import (
     DegenerateLayerError,
-    Edge,
+    EdgeArrays,
     InsufficientDataError,
     MultiLayerNetwork,
     NodeRef,
@@ -74,25 +74,31 @@ def build_network(
     chosen = tuple(layers) if layers is not None else table.layers
     if not chosen:
         raise ValueError("need at least one layer")
-    norms = [normalize_layer(table, layer) for layer in chosen]
+    norms = {layer: normalize_layer(table, layer).values for layer in chosen}
 
-    nodes: list[NodeRef] = []
-    intra: dict[Edge, float] = {}
-    for norm in norms:
-        # sorted entities make every i < j pair a canonical edge key
-        refs = [NodeRef(e, norm.layer) for e in sorted(norm.values)]
-        z = np.array([norm.values[r.entity] for r in refs])
-        i, j = np.triu_indices(len(refs), k=1)
-        keys = [(refs[p], refs[q]) for p, q in zip(i.tolist(), j.tolist())]
-        intra.update(zip(keys, edge_weight(z[i], z[j]).tolist()))
-        nodes.extend(refs)
+    # vertex ids in the network's order: by layer, then entity name
+    vertices = [NodeRef(e, layer) for layer in chosen for e in sorted(norms[layer])]
+    z = np.array([norms[v.layer][v.entity] for v in vertices])
+    # a layer's vertices are a block of sorted entities, so every i < j
+    # pair within a block is a canonical edge key
+    sizes = [len(norms[layer]) for layer in chosen]
+    starts = np.cumsum([0] + sizes[:-1])
+    a, b = np.concatenate(
+        [np.array(np.triu_indices(n, k=1)) + s for n, s in zip(sizes, starts)], axis=1
+    )
 
-    inter: dict[Edge, float] = {}
-    for a, b in itertools.combinations(norms, 2):
-        lo, hi = sorted((a.layer, b.layer))
-        for entity, z_a in a.values.items():
-            z_b = b.values.get(entity)
-            if z_b is not None:
-                key = (NodeRef(entity, lo), NodeRef(entity, hi))
-                inter[key] = float(edge_weight(z_a, z_b))
-    return MultiLayerNetwork(chosen, frozenset(nodes), intra, inter)
+    # a coupling's key puts the copy in the layer whose name sorts first
+    index = {v: i for i, v in enumerate(vertices)}
+    coupled = [
+        (index[e, lo], index[e, hi])
+        for lo, hi in itertools.combinations(sorted(chosen), 2)
+        for e in norms[lo]
+        if (e, hi) in index
+    ]
+    c, d = np.array(coupled, dtype=np.int64).reshape(-1, 2).T
+    return MultiLayerNetwork(
+        chosen,
+        vertices,
+        EdgeArrays(a, b, edge_weight(z[a], z[b])),
+        EdgeArrays(c, d, edge_weight(z[c], z[d])),
+    )

@@ -46,7 +46,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import MultiLayerNetwork, NodeRef, Partition
+from .model import MultiLayerNetwork, NodeRef, Partition, layer_name_rank
 
 _GAIN_TOL = 1e-12
 
@@ -89,31 +89,18 @@ class SupraGraph:
     """
 
     def __init__(self, mln: MultiLayerNetwork):
-        layer_index = {layer: i for i, layer in enumerate(mln.layers)}
-        vertices = sorted(mln.nodes, key=lambda n: (layer_index[n.layer], n.entity))
-        index = {n: i for i, n in enumerate(vertices)}
-        layer_of = np.array([layer_index[n.layer] for n in vertices], dtype=np.int64)
-        name_rank = np.empty(len(mln.layers), dtype=np.int64)
-        name_rank[sorted(range(len(mln.layers)), key=mln.layers.__getitem__)] = (
-            np.arange(len(mln.layers))
-        )
-
-        ends = []
-        for edges in (mln.intra_edges, mln.inter_edges):
-            a = np.fromiter((index[e[0]] for e in edges), np.int64, len(edges))
-            b = np.fromiter((index[e[1]] for e in edges), np.int64, len(edges))
-            w = np.fromiter(edges.values(), np.float64, len(edges))
-            ends.append((a, b, w))
-        (ia, ib, iw), (ca, cb, cw) = ends
+        # the network numbers its vertices in this graph's order
+        layer_of = mln.layer_of
+        (ia, ib, iw), (ca, cb, cw) = mln.intra, mln.inter
         rows = np.concatenate([ia, ib, ca, cb])
         cols = np.concatenate([ib, ia, cb, ca])
         weights = np.concatenate([iw, iw, cw, cw])
         coupling = np.repeat([False, True], [2 * len(ia), 2 * len(ca)])
         # within a layer, vertex order is entity order
-        key = np.where(coupling, name_rank[layer_of[cols]], cols)
+        key = np.where(coupling, layer_name_rank(mln.layers)[layer_of[cols]], cols)
         order = np.lexsort((key, coupling, rows))
         self._assign(
-            mln.layers, vertices, layer_of, rows[order], cols[order], weights[order]
+            mln.layers, list(mln.vertices), layer_of, rows[order], cols[order], weights[order]
         )
 
     def _assign(

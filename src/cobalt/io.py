@@ -11,19 +11,24 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from pathlib import Path
 from typing import Any, TextIO
 from xml.etree import ElementTree
 
+import numpy as np
+
 from .evaluation import MissingnessSweepReport, RegressionReport, SweepEntry
 from .model import (
     CovariateTable,
+    EdgeArrays,
     MultiLayerNetwork,
     NodeRef,
     Partition,
     ScoreTable,
     TargetTable,
     edge_key,
+    vertex_order,
 )
 from .selector import IterationRecord, IterationTrace, LayerCostBreakdown
 
@@ -181,9 +186,10 @@ def _open_write(target: str | Path | TextIO):
 
 
 def dump_json(payload: Any, target: str | Path | TextIO) -> None:
+    # one string and one write: json.dump with indent streams many small ones
+    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
     with _open_write(target) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _json_safe(value: float) -> float | str | None:
@@ -203,18 +209,21 @@ def _json_number(raw: Any) -> float:
 def network_to_dict(
     network: MultiLayerNetwork, pruning_meta: dict | None = None
 ) -> dict:
+    entity = [n.entity for n in network.vertices]
+    layer = [n.layer for n in network.vertices]
+    (a, b, w), (c, d, x) = network.intra, network.inter
     return {
         "format": "cobalt-network",
         "version": 1,
         "layers": list(network.layers),
         "nodes": sorted([n.entity, n.layer] for n in network.nodes),
         "intra_edges": sorted(
-            [a.entity, b.entity, a.layer, w]
-            for (a, b), w in network.intra_edges.items()
+            [entity[i], entity[j], layer[i], wt]
+            for i, j, wt in zip(a.tolist(), b.tolist(), w.tolist())
         ),
         "inter_edges": sorted(
-            [a.entity, a.layer, b.layer, w]
-            for (a, b), w in network.inter_edges.items()
+            [entity[i], layer[i], layer[j], wt]
+            for i, j, wt in zip(c.tolist(), d.tolist(), x.tolist())
         ),
         "pruning": pruning_meta,
     }
@@ -270,18 +279,40 @@ def _artifact(raw: Any, kind: str) -> dict:
     return raw
 
 
+def _edge_arrays(raw: dict, name: str, index: dict[NodeRef, int]) -> EdgeArrays:
+    """Rows of the edge field ``name`` as arrays over ``index``'s vertex ids,
+    flipped rows turned to their canonical key; a repeated edge is an error."""
+    rows = _rows(raw, name, _EDGE)
+    x, y, z, w = ([row[k] for row in rows] for k in range(4))
+    # rows are [entity_a, entity_b, layer, w] or [entity, layer_a, layer_b, w]
+    intra = name == "intra_edges"
+    ends = (zip(x, z), zip(y, z)) if intra else (zip(x, y), zip(x, z))
+    try:
+        a, b = (np.fromiter(map(index.__getitem__, e), np.int64, len(rows)) for e in ends)
+    except KeyError as exc:
+        raise InputFormatError(
+            f"artifact field {name!r} names {exc.args[0]}, which is not in 'nodes'"
+        ) from exc
+    flip = np.fromiter(map(operator.gt, *((x, y) if intra else (y, z))), bool, len(rows))
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    key = np.sort(a * len(index) + b)
+    repeated = key[1:][key[1:] == key[:-1]]
+    if repeated.size:
+        vertices = list(index)
+        i, j = divmod(int(repeated[0]), len(index))
+        raise InputFormatError(
+            f"artifact field {name!r} repeats edge {vertices[i]}-{vertices[j]}"
+        )
+    return EdgeArrays(a, b, np.array(w, dtype=np.float64))
+
+
 def network_from_dict(raw: Any) -> MultiLayerNetwork:
     raw = _artifact(raw, "network")
     layers = _layers(raw)
     nodes = frozenset(NodeRef(e, l) for e, l in _rows(raw, "nodes", (str, str)))
-    intra = {
-        edge_key(NodeRef(e1, layer), NodeRef(e2, layer)): w
-        for e1, e2, layer, w in _rows(raw, "intra_edges", _EDGE)
-    }
-    inter = {
-        edge_key(NodeRef(e, la), NodeRef(e, lb)): w
-        for e, la, lb, w in _rows(raw, "inter_edges", _EDGE)
-    }
+    index = {v: i for i, v in enumerate(vertex_order(layers, nodes))}
+    intra = _edge_arrays(raw, "intra_edges", index)
+    inter = _edge_arrays(raw, "inter_edges", index)
     return MultiLayerNetwork(layers, nodes, intra, inter)
 
 

@@ -2,15 +2,20 @@
 
 A :class:`ScoreTable` holds one numeric score per (entity, layer) cell, with
 missingness kept explicit: absent cells are simply not present in the mapping,
-never encoded as a sentinel value. All types are immutable after construction
-and safe to share between workers.
+never encoded as a sentinel value. A :class:`MultiLayerNetwork` keeps its
+edges as numpy arrays over vertex ids (see its docstring for the layout). All
+types are immutable after construction and safe to share between workers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 
 class DegenerateLayerError(ValueError):
@@ -97,52 +102,113 @@ class TargetTable:
     values: Mapping[tuple[str, str], float]
 
 
-@dataclass(frozen=True)
+class EdgeArrays(NamedTuple):
+    """Edges as parallel arrays: endpoint vertex ids ``a``, ``b`` and weights ``w``."""
+
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
+
+
+def layer_name_rank(layers: Sequence[str]) -> np.ndarray:
+    """Position of each layer's name in sorted order, per layer index."""
+    return np.array([sorted(layers).index(layer) for layer in layers], dtype=np.int64)
+
+
+def vertex_order(layers: Sequence[str], nodes: Iterable[NodeRef]) -> tuple[NodeRef, ...]:
+    """``nodes`` ordered by layer (in ``layers`` order), then by entity name."""
+    layer_index = {layer: i for i, layer in enumerate(layers)}
+    if len(layer_index) != len(layers):
+        raise ValueError("duplicate layer in network")
+    for node in nodes:
+        if node.layer not in layer_index:
+            raise ValueError(f"node {node} references unknown layer")
+    return tuple(sorted(nodes, key=lambda n: (layer_index[n.layer], n.entity)))
+
+
 class MultiLayerNetwork:
     """Weighted multi-layer network over node-layer vertices.
 
     ``intra_edges`` connect two entities within one layer, ``inter_edges``
     couple the same entity across two layers. Edges are undirected, stored
     once under the canonical endpoint order, and always carry weight > 0.
+
+    Layout. Vertex ``i`` is ``vertices[i]``, in :func:`vertex_order` (the
+    supra-graph order); ``layer_of`` and ``entity_of`` give its layer index
+    and the rank of its entity name. Edges live in two :class:`EdgeArrays`
+    over these ids, ``intra`` with ``a < b`` and ``inter`` with ``a`` in the
+    layer whose name sorts first: both are the canonical key order.
+    ``intra_edges`` and ``inter_edges`` are read-only mapping views of them,
+    built on first access. The constructor takes each edge set as
+    :class:`EdgeArrays` or as such a mapping, and checks both alike.
     """
 
-    layers: tuple[str, ...]
-    nodes: frozenset[NodeRef]
-    intra_edges: Mapping[Edge, float]
-    inter_edges: Mapping[Edge, float]
+    def __init__(
+        self,
+        layers: Iterable[str],
+        nodes: Iterable[NodeRef],
+        intra_edges: Mapping[Edge, float] | EdgeArrays,
+        inter_edges: Mapping[Edge, float] | EdgeArrays,
+    ):
+        self.layers: tuple[str, ...] = tuple(layers)
+        self.nodes: frozenset[NodeRef] = frozenset(nodes)
+        self.vertices = vertex_order(self.layers, self.nodes)
+        layer_index = {layer: i for i, layer in enumerate(self.layers)}
+        rank = {e: i for i, e in enumerate(sorted({n.entity for n in self.nodes}))}
+        self.layer_of = np.array([layer_index[n.layer] for n in self.vertices], dtype=np.int64)
+        self.entity_of = np.array([rank[n.entity] for n in self.vertices], dtype=np.int64)
+        self.intra, self.inter = (
+            edges if isinstance(edges, EdgeArrays) else self._arrays(edges)
+            for edges in (intra_edges, inter_edges)
+        )
+        for array in (self.layer_of, self.entity_of, *self.intra, *self.inter):
+            array.flags.writeable = False
+        name_rank = layer_name_rank(self.layers)
+        for intra, (a, b, w) in ((True, self.intra), (False, self.inter)):
+            la, lb = self.layer_of[a], self.layer_of[b]
+            if intra:
+                kind, canonical = (la != lb, "intra edge {}-{} spans layers"), a < b
+            else:
+                split = (self.entity_of[a] != self.entity_of[b]) | (la == lb)
+                kind = split, "inter edge {}-{} must couple one entity across layers"
+                canonical = name_rank[la] < name_rank[lb]
+            # every rule over all edges at once; the first edge breaking the
+            # first broken rule is named
+            for bad, message in (
+                kind,
+                (a == b, "self-loop on {}"),
+                (~canonical, "edge {}-{} not in canonical order"),
+                (~(w > 0.0) | ~np.isfinite(w), "edge {}-{} has non-positive weight {}"),
+            ):
+                if bad.any():
+                    i = int(bad.argmax())
+                    v = self.vertices
+                    raise ValueError(message.format(v[a[i]], v[b[i]], float(w[i])))
 
-    def __post_init__(self) -> None:
-        layer_set = set(self.layers)
-        if len(layer_set) != len(self.layers):
-            raise ValueError("duplicate layer in network")
-        for node in self.nodes:
-            if node.layer not in layer_set:
-                raise ValueError(f"node {node} references unknown layer")
-        nodes = self.nodes
-        for intra, edges in ((True, self.intra_edges), (False, self.inter_edges)):
-            for (a, b), w in edges.items():
-                if intra:
-                    if a.layer != b.layer:
-                        raise ValueError(f"intra edge {a}-{b} spans layers")
-                elif a.entity != b.entity or a.layer == b.layer:
-                    raise ValueError(
-                        f"inter edge {a}-{b} must couple one entity across layers"
-                    )
-                if a == b:
-                    raise ValueError(f"self-loop on {a}")
-                # once a != b, the canonical key edge_key(a, b) is (a, b) iff a < b
-                if not a < b:
-                    raise ValueError(f"edge {a}-{b} not in canonical order")
-                if a not in nodes or b not in nodes:
-                    raise ValueError(f"edge {a}-{b} has endpoint outside node set")
-                if not (w > 0.0) or not math.isfinite(w):
-                    raise ValueError(f"edge {a}-{b} has non-positive weight {w}")
+    def _arrays(self, edges: Mapping[Edge, float]) -> EdgeArrays:
+        index = {v: i for i, v in enumerate(self.vertices)}
+        for a, b in edges:
+            if a not in index or b not in index:
+                raise ValueError(f"edge {a}-{b} has endpoint outside node set")
+        ids = np.array([(index[a], index[b]) for a, b in edges], dtype=np.int64)
+        w = np.fromiter(edges.values(), np.float64, len(edges))
+        return EdgeArrays(*ids.reshape(-1, 2).T, w)
+
+    def _view(self, edges: EdgeArrays) -> Mapping[Edge, float]:
+        v = self.vertices
+        a, b, w = (x.tolist() for x in edges)
+        return MappingProxyType({(v[i], v[j]): x for i, j, x in zip(a, b, w)})
+
+    @cached_property
+    def intra_edges(self) -> Mapping[Edge, float]:
+        return self._view(self.intra)
+
+    @cached_property
+    def inter_edges(self) -> Mapping[Edge, float]:
+        return self._view(self.inter)
 
     def layer_nodes(self, layer: str) -> set[str]:
         return {n.entity for n in self.nodes if n.layer == layer}
-
-    def entity_set(self) -> set[str]:
-        return {n.entity for n in self.nodes}
 
     def subnetwork(self, layers: Iterable[str]) -> "MultiLayerNetwork":
         """Induced network on ``layers`` (order taken from the argument)."""
@@ -150,15 +216,16 @@ class MultiLayerNetwork:
         missing = [l for l in chosen if l not in self.layers]
         if missing:
             raise ValueError(f"unknown layers {missing}")
-        keep = set(chosen)
-        nodes = frozenset(n for n in self.nodes if n.layer in keep)
-        intra = {e: w for e, w in self.intra_edges.items() if e[0].layer in keep}
-        inter = {
-            e: w
-            for e, w in self.inter_edges.items()
-            if e[0].layer in keep and e[1].layer in keep
-        }
-        return MultiLayerNetwork(chosen, nodes, intra, inter)
+        kept = [n for n in self.vertices if n.layer in chosen]
+        index = {n: i for i, n in enumerate(vertex_order(chosen, kept))}
+        new_id = np.array([index.get(n, -1) for n in self.vertices], dtype=np.int64)
+
+        def induced(edges: EdgeArrays) -> EdgeArrays:
+            a, b = new_id[edges.a], new_id[edges.b]
+            inside = (a >= 0) & (b >= 0)
+            return EdgeArrays(a[inside], b[inside], edges.w[inside])
+
+        return MultiLayerNetwork(chosen, kept, induced(self.intra), induced(self.inter))
 
 
 @dataclass(frozen=True)

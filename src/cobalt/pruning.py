@@ -13,74 +13,45 @@ inter-layer edge set of each unordered layer pair.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 import numpy as np
 from scipy.special import betainc, gammaln
 
-from .model import MultiLayerNetwork
+from .model import EdgeArrays, MultiLayerNetwork
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_SCALE = 1000.0
 
-_MAX_TOTAL = 2**63 - 1
 
-
-@dataclass(frozen=True)
-class NullModelContext:
-    """Integerized degree sequence of one edge universe.
-
-    ``total`` is E = (1/2) sum_i k_i; ``degrees`` maps each node to its
-    quantized strength. Strengths are used as degrees throughout, so the
-    null model sees weighted multiplicities rather than raw edge counts.
-    """
-
-    total: int
-    degrees: Mapping[Hashable, int]
-    scale: float
-
-    def __post_init__(self) -> None:
-        if self.total < 1:
-            raise ValueError(f"null model needs total multiplicity >= 1, got {self.total}")
-        if any(k < 0 for k in self.degrees.values()):
-            raise ValueError("negative degree in null model")
-        if sum(self.degrees.values()) != 2 * self.total:
-            raise ValueError("degree sum must equal twice the total multiplicity")
+def _quantize(w: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Multiplicities round(w * scale) of one universe: which edges keep a
+    positive count, those counts, and their exact total."""
+    m = np.rint(w * scale)
+    live = m > 0
+    if m.max(initial=0.0) >= 2.0**63:
+        raise OverflowError("total quantized weight exceeds 2**63 - 1")
+    counts = m[live].astype(np.int64)
+    # summed in two 32-bit halves, so the int64 sums cannot wrap
+    total = (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
+    if total > 2**63 - 1:
+        raise OverflowError("total quantized weight exceeds 2**63 - 1")
+    return live, counts, total
 
 
 def quantize_weights(
     edges: Mapping[tuple[Hashable, Hashable], float], scale: float = DEFAULT_SCALE
 ) -> dict[tuple[Hashable, Hashable], int]:
     """Integer edge multiplicities round(w * scale); zero-count edges dropped."""
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError(f"quantization scale must be positive, got {scale}")
-    counts: dict[tuple[Hashable, Hashable], int] = {}
-    total = 0
-    for edge, weight in edges.items():
-        m = int(round(weight * scale))
-        if m <= 0:
-            continue
-        counts[edge] = m
-        total += m
-        if total > _MAX_TOTAL:
-            raise OverflowError("total quantized weight exceeds 2**63 - 1")
-    return counts
-
-
-def null_context(
-    counts: Mapping[tuple[Hashable, Hashable], int], scale: float = DEFAULT_SCALE
-) -> NullModelContext:
-    """Null-model context (E and strengths) of a quantized edge set."""
-    degrees: dict[Hashable, int] = {}
-    total = 0
-    for (a, b), m in counts.items():
-        degrees[a] = degrees.get(a, 0) + m
-        degrees[b] = degrees.get(b, 0) + m
-        total += m
-    return NullModelContext(total, degrees, scale)
+    w = np.fromiter(edges.values(), np.float64, len(edges))
+    if not np.isfinite(w).all():
+        raise ValueError("cannot quantize a non-finite weight")
+    live, counts, _ = _quantize(w, scale)
+    kept = [edge for edge, keep in zip(edges, live.tolist()) if keep]
+    return dict(zip(kept, counts.tolist()))
 
 
 def edge_null_probability(m: int, k_i: int, k_j: int, total: int) -> float:
@@ -107,51 +78,35 @@ def edge_null_probability(m: int, k_i: int, k_j: int, total: int) -> float:
     return float(math.exp(log_pmf))
 
 
-def edge_p_value(count: int, k_i: int, k_j: int, total: int) -> float:
-    """Upper-tail probability Pr(multiplicity >= count) under the null model.
+def edge_p_value(count, k_i, k_j, total):
+    """Upper-tail probability Pr(multiplicity >= count) under the null model,
+    for 1 <= count <= total. Accepts scalars or arrays.
 
     Computed through the regularized incomplete beta function, which equals
     the binomial survival sum exactly and stays stable for large E.
     """
-    if not 1 <= count <= total:
-        raise ValueError(f"count {count} outside [1, {total}]")
-    p = (k_i * k_j) / (2.0 * total * total)
-    if p > 1.0:
-        raise ValueError(f"null probability {p} > 1; degrees violate the model")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    return float(betainc(count, total - count + 1, p))
-
-
-def prune_graph(
-    edges: Mapping[tuple[Hashable, Hashable], float],
-    alpha: float = DEFAULT_ALPHA,
-    scale: float = DEFAULT_SCALE,
-) -> dict[tuple[Hashable, Hashable], float]:
-    """Quantize one edge universe, test every edge, keep those whose p-value
-    is at most ``alpha``.
-
-    Survivors keep their original (un-quantized) weights. The node set is the
-    caller's concern: nodes isolated by pruning stay in the network.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"significance level must be in (0, 1], got {alpha}")
-    counts = quantize_weights(edges, scale)
-    if not counts:
-        return {}
-    ctx = null_context(counts, scale)
-    keys = list(counts.keys())
-    m = np.array([counts[k] for k in keys], dtype=float)
-    k_i = np.array([ctx.degrees[a] for a, _ in keys], dtype=float)
-    k_j = np.array([ctx.degrees[b] for _, b in keys], dtype=float)
-    total = float(ctx.total)
+    if np.any((count < 1) | (count > total)):
+        raise ValueError(f"count outside [1, {total}]")
     p = k_i * k_j / (2.0 * total * total)
     if np.any(p > 1.0):
         raise ValueError("null probability > 1; degrees violate the model")
-    pvals = betainc(m, total - m + 1.0, p)
-    return {edge: edges[edge] for edge, pv in zip(keys, pvals) if pv <= alpha}
+    return betainc(count, total - count + 1.0, p)
+
+
+def _significant(edges: EdgeArrays, alpha: float, scale: float) -> np.ndarray:
+    """Mask of the edges of one universe whose p-value is at most ``alpha``.
+    Strengths are exact int64 sums of the counts."""
+    live, counts, total = _quantize(edges.w, scale)
+    keep = np.zeros(len(live), dtype=bool)
+    if total:
+        a, b = edges.a[live], edges.b[live]
+        degrees = np.zeros(max(a.max(), b.max()) + 1, dtype=np.int64)
+        np.add.at(degrees, a, counts)
+        np.add.at(degrees, b, counts)
+        k = degrees.astype(np.float64)
+        p_values = edge_p_value(counts.astype(np.float64), k[a], k[b], float(total))
+        keep[live] = p_values <= alpha
+    return keep
 
 
 def prune_network(
@@ -162,19 +117,23 @@ def prune_network(
     """Apply the filter to a whole network.
 
     Each layer's intra edges form one universe; each unordered layer pair's
-    inter edges form another. Node sets are unchanged.
+    inter edges form another. Survivors keep their original (un-quantized)
+    weights, and the node set is unchanged: nodes isolated by pruning stay.
     """
-    # one universe per set of endpoint layers: every layer, then every pair
-    groups = [(layer,) for layer in mln.layers]
-    groups += itertools.combinations(mln.layers, 2)
-    universes: dict[frozenset[str], dict] = {frozenset(g): {} for g in groups}
-    for edges in (mln.intra_edges, mln.inter_edges):
-        for edge, w in edges.items():
-            universes[frozenset((edge[0].layer, edge[1].layer))][edge] = w
-
-    intra: dict = {}
-    inter: dict = {}
-    for group, universe in universes.items():
-        kept = inter if len(group) == 2 else intra
-        kept.update(prune_graph(universe, alpha, scale))
-    return MultiLayerNetwork(mln.layers, mln.nodes, intra, inter)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"significance level must be in (0, 1], got {alpha}")
+    if not scale > 0:
+        raise ValueError(f"quantization scale must be positive, got {scale}")
+    kept = []
+    for edges in (mln.intra, mln.inter):
+        la, lb = mln.layer_of[edges.a], mln.layer_of[edges.b]
+        # one universe per set of endpoint layers
+        universe = np.minimum(la, lb) * len(mln.layers) + np.maximum(la, lb)
+        keep = np.zeros(len(universe), dtype=bool)
+        for u in np.unique(universe).tolist():
+            members = np.flatnonzero(universe == u)
+            keep[members] = _significant(
+                EdgeArrays(*(x[members] for x in edges)), alpha, scale
+            )
+        kept.append(EdgeArrays(*(x[keep] for x in edges)))
+    return MultiLayerNetwork(mln.layers, mln.nodes, *kept)

@@ -45,9 +45,7 @@ def render_layer_svg(
         if node not in partition.assignment:
             raise ValueError(f"partition does not cover {node}")
 
-    edges = {
-        (a, b): w for (a, b), w in network.intra_edges.items() if a.layer == layer
-    }
+    edges = network.subnetwork([layer]).intra_edges
     positions = fr_layout(nodes, edges, seed=seed, iterations=iterations)
     xs = [p[0] for p in positions.values()]
     ys = [p[1] for p in positions.values()]

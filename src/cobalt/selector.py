@@ -76,11 +76,13 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class InitResult:
-    """Outcome of initialization: the winning layer and all single partitions."""
+    """Outcome of initialization: the winning layer, all single partitions,
+    and the supra-graph they were sliced from."""
 
     best_layer: str
     best: LeidenResult
     singles: Mapping[str, LeidenResult]
+    supra: SupraGraph
 
 
 def availability_ratio(incumbent: set[str], candidate: set[str]) -> float:
@@ -151,7 +153,7 @@ def cobalt_init(supra: SupraGraph, cfg: LeidenConfig) -> InitResult:
             best_layer = layer
             best_q = result.quality
     assert best_layer is not None
-    return InitResult(best_layer, singles[best_layer], singles)
+    return InitResult(best_layer, singles[best_layer], singles, supra)
 
 
 def stopping_condition(trace: IterationTrace, mode: str) -> bool:
@@ -206,9 +208,9 @@ def cobalt_select(
 ) -> IterationTrace:
     """Grow the network one least-cost layer at a time.
 
-    ``pruned`` is the significance-filtered network over all layers; it is
-    flattened once, and each iteration's incumbent is the slice of that
-    supra-graph on the selected layers, so intra edges and couplings both
+    ``pruned`` is the significance-filtered network over all layers and
+    ``init`` its initialization; each iteration's incumbent is the slice of
+    ``init.supra`` on the selected layers, so intra edges and couplings both
     arrive already filtered. Candidate partitions for the similarity term
     stay frozen at their single-layer versions from initialization. Ties on
     cost go to higher availability, then input order.
@@ -218,7 +220,7 @@ def cobalt_select(
     order = tuple(candidate_order) if candidate_order is not None else pruned.layers
     layer_entities = {layer: pruned.layer_nodes(layer) for layer in order}
 
-    supra = SupraGraph(pruned)
+    supra = init.supra
     selected = [init.best_layer]
     incumbent_result = init.best
     records = [

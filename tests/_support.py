@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from itertools import chain, combinations
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import betainc
 
 from cobalt.model import MultiLayerNetwork, NodeRef, ScoreTable, edge_key
+from cobalt.pruning import prune_network
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +300,96 @@ def p_value_oracle(count: int, k_i: int, k_j: int, total: int) -> float:
     return sum(binomial_pmf_oracle(m, total, p) for m in range(count, total + 1))
 
 
-def prune_survivors_oracle(
-    counts: Mapping[tuple[Hashable, Hashable], int], alpha: float
-) -> set:
+class NullContext(NamedTuple):
+    """E and the quantized strength of every node of one universe."""
+
+    total: int
+    degrees: dict[Hashable, int]
+
+
+def null_context(counts: Mapping[tuple[Hashable, Hashable], int]) -> NullContext:
+    """Null-model context of a quantized universe, summed edge by edge."""
     degrees: dict[Hashable, int] = {}
     total = 0
     for (a, b), m in counts.items():
         degrees[a] = degrees.get(a, 0) + m
         degrees[b] = degrees.get(b, 0) + m
         total += m
+    return NullContext(total, degrees)
+
+
+def prune_survivors_oracle(
+    counts: Mapping[tuple[Hashable, Hashable], int], alpha: float
+) -> set:
+    total, degrees = null_context(counts)
     return {
         edge
         for edge, m in counts.items()
         if p_value_oracle(m, degrees[edge[0]], degrees[edge[1]], total) <= alpha
     }
+
+
+# ---------------------------------------------------------------------------
+# significance filter: the dict-of-edges filter the array filter must equal
+
+
+def reference_quantize(
+    edges: Mapping[tuple[Hashable, Hashable], float], scale: float
+) -> dict[tuple[Hashable, Hashable], int]:
+    """round(w * scale) edge by edge in Python integers; zero counts dropped."""
+    counts = {}
+    for edge, weight in edges.items():
+        m = int(round(weight * scale))
+        if m > 0:
+            counts[edge] = m
+    if sum(counts.values()) > 2**63 - 1:
+        raise OverflowError("total quantized weight exceeds 2**63 - 1")
+    return counts
+
+
+def reference_prune_graph(
+    edges: Mapping[tuple[Hashable, Hashable], float], alpha: float, scale: float
+) -> dict[tuple[Hashable, Hashable], float]:
+    """One universe filtered as a dict: quantize, null context, betainc, keep."""
+    counts = reference_quantize(edges, scale)
+    if not counts:
+        return {}
+    ctx = null_context(counts)
+    keys = list(counts)
+    m = np.array([counts[k] for k in keys], dtype=float)
+    k_i = np.array([ctx.degrees[a] for a, _ in keys], dtype=float)
+    k_j = np.array([ctx.degrees[b] for _, b in keys], dtype=float)
+    total = float(ctx.total)
+    p = k_i * k_j / (2.0 * total * total)
+    pvals = betainc(m, total - m + 1.0, p)
+    return {edge: edges[edge] for edge, pv in zip(keys, pvals) if pv <= alpha}
+
+
+def reference_prune(
+    mln: MultiLayerNetwork, alpha: float = 0.05, scale: float = 1000.0
+) -> tuple[dict, dict]:
+    """Surviving intra and inter edges of ``mln``, one universe per layer and
+    per layer pair, each filtered by :func:`reference_prune_graph`."""
+    universes: dict[frozenset[str], dict] = {}
+    for edges in (mln.intra_edges, mln.inter_edges):
+        for edge, w in edges.items():
+            universes.setdefault(frozenset((edge[0].layer, edge[1].layer)), {})[edge] = w
+    intra: dict = {}
+    inter: dict = {}
+    for group, universe in universes.items():
+        kept = inter if len(group) == 2 else intra
+        kept.update(reference_prune_graph(universe, alpha, scale))
+    return intra, inter
+
+
+def prune_graph(
+    edges: Mapping[tuple[str, str], float], alpha: float = 0.05, scale: float = 1000.0
+) -> dict[tuple[str, str], float]:
+    """``prune_network`` on the one-layer network with these edges, keyed
+    back by entity pairs (each key must list its smaller entity first)."""
+    mln = mln_from_edges({"L": [(a, b, w) for (a, b), w in edges.items()]})
+    pruned = prune_network(mln, alpha, scale)
+    return {(a.entity, b.entity): w for (a, b), w in pruned.intra_edges.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,7 @@ from cobalt.config import PipelineConfig
 from cobalt.evaluation import cross_validate, fit_ridge, missingness_sweep
 from cobalt.model import ScoreTable
 from cobalt.pipeline import build_pruned_network
-from cobalt.pruning import (
-    edge_null_probability,
-    edge_p_value,
-    null_context,
-    prune_graph,
-    quantize_weights,
-)
+from cobalt.pruning import edge_null_probability, edge_p_value, quantize_weights
 from cobalt.selector import (
     IterationTrace,
     cobalt_init,
@@ -43,7 +37,9 @@ from _support import (
     halves_and_parity_table,
     least_squares_oracle,
     mln_from_edges,
+    null_context,
     p_value_oracle,
+    prune_graph,
     prune_survivors_oracle,
     two_cliques_bridged,
     two_triangles,
@@ -112,7 +108,7 @@ def test_mlf_oracle_equivalence():
         graphs_checked += 1
 
         counts = quantize_weights(edges, 1.0)
-        ctx = null_context(counts, 1.0)
+        ctx = null_context(counts)
         assert ctx.total <= 12
         for edge, m in counts.items():
             expected = p_value_oracle(

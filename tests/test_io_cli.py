@@ -100,6 +100,22 @@ class TestNetworkJson:
         assert parsed.intra_edges == dict(net.intra_edges)
         assert parsed.inter_edges == dict(net.inter_edges)
 
+    def test_flipped_rows_load_canonical(self):
+        raw = cio.network_to_dict(sample_network())
+        for name, swap in (("intra_edges", (1, 0, 2, 3)), ("inter_edges", (0, 2, 1, 3))):
+            raw[name] = [[row[k] for k in swap] for row in raw[name]]
+        parsed = cio.network_from_dict(raw)
+        assert parsed.intra_edges == dict(sample_network().intra_edges)
+        assert parsed.inter_edges == dict(sample_network().inter_edges)
+
+    def test_repeated_edge_named(self):
+        raw = dict(TestCliMalformedArtifacts.NETWORK_WITH_REPEATED_EDGE)
+        with pytest.raises(cio.InputFormatError, match="repeats edge .*'a'.*'b'"):
+            cio.network_from_dict(raw)
+        raw["intra_edges"] = [["a", "b", "A", 1.0], ["a", "c", "A", 1.0]]
+        with pytest.raises(cio.InputFormatError, match="'c', 'A'.* not in 'nodes'"):
+            cio.network_from_dict(raw)
+
     def test_rejects_foreign_payload(self):
         with pytest.raises(cio.InputFormatError):
             cio.network_from_dict({"format": "something-else"})
@@ -310,6 +326,15 @@ class TestCliMalformedArtifacts:
         ],
     }
 
+    # one edge in three rows, one of them flipped
+    NETWORK_WITH_REPEATED_EDGE = {
+        "format": "cobalt-network",
+        "layers": ["A"],
+        "nodes": [["a", "A"], ["b", "A"]],
+        "intra_edges": [["a", "b", "A", 1.0], ["b", "a", "A", 5.0], ["a", "b", "A", 2.0]],
+        "inter_edges": [],
+    }
+
     @pytest.mark.parametrize(
         "command, payload, field",
         [
@@ -339,6 +364,7 @@ class TestCliMalformedArtifacts:
             ),
             ("evaluate", TRACE_WITHOUT_COST, "cost"),
             ("export", {"format": "cobalt-network"}, "layers"),
+            ("select", NETWORK_WITH_REPEATED_EDGE, "intra_edges"),
         ],
     )
     def test_exits_two_naming_the_field(self, command, payload, field, tmp_path, capsys):

@@ -1,9 +1,14 @@
+import itertools
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobalt.community import canonicalize
 from cobalt.model import (
+    EdgeArrays,
     MultiLayerNetwork,
     NodeRef,
     Partition,
@@ -11,6 +16,7 @@ from cobalt.model import (
     edge_key,
     layer_node_set,
     validate_score_table,
+    vertex_order,
 )
 
 from _support import co_membership
@@ -138,9 +144,7 @@ _C2 = NodeRef("e2", "B")
 _ALL = frozenset({_A1, _A2, _B1, _C2})
 
 
-@pytest.mark.parametrize(
-    "layers, nodes, intra, inter, message",
-    [
+_NETWORK_RULES = [
         (("A", "A"), frozenset(), {}, {}, "duplicate layer in network"),
         (("A",), frozenset({_A1, _B1}), {}, {}, "references unknown layer"),
         (("A", "B"), _ALL, {(_A1, _B1): 1.0}, {}, "intra edge .* spans layers"),
@@ -155,11 +159,78 @@ _ALL = frozenset({_A1, _A2, _B1, _C2})
         (("A", "B"), _ALL, {(_A1, _A2): -1.0}, {}, "non-positive weight"),
         (("A", "B"), _ALL, {}, {(_A1, _B1): math.nan}, "non-positive weight"),
         (("A", "B"), _ALL, {}, {(_A1, _B1): math.inf}, "non-positive weight"),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("layers, nodes, intra, inter, message", _NETWORK_RULES)
 def test_each_network_rule_raises_its_message(layers, nodes, intra, inter, message):
     with pytest.raises(ValueError, match=message):
         MultiLayerNetwork(layers, nodes, intra, inter)
+
+
+@pytest.mark.parametrize(
+    "layers, nodes, intra, inter, message",
+    [rule for rule in _NETWORK_RULES if "outside node set" not in rule[-1]],
+)
+def test_array_edges_follow_the_same_rules(layers, nodes, intra, inter, message):
+    try:
+        index = {v: i for i, v in enumerate(vertex_order(layers, nodes))}
+    except ValueError as exc:
+        assert re.search(message, str(exc))
+        return
+
+    def arrays(edges):
+        ids = np.array([[index[a], index[b]] for a, b in edges], dtype=np.int64)
+        ids = ids.reshape(-1, 2)
+        return EdgeArrays(ids[:, 0], ids[:, 1], np.array(list(edges.values()), dtype=float))
+
+    with pytest.raises(ValueError, match=message):
+        MultiLayerNetwork(layers, nodes, arrays(intra), arrays(inter))
+
+
+class TestEdgeArrays:
+    def test_views_are_read_only_and_follow_the_arrays(self):
+        net = MultiLayerNetwork(
+            ("B", "A"), _ALL, {(_A1, _A2): 2.0}, {(_A1, _B1): 3.0, (_A2, _C2): 4.0}
+        )
+        assert [net.vertices[i] for i in range(4)] == [_B1, _C2, _A1, _A2]
+        assert net.layer_of.tolist() == [0, 0, 1, 1]
+        # couplings list the copy in layer "A" first, as their keys do
+        assert net.inter.a.tolist() == [2, 3] and net.inter.b.tolist() == [0, 1]
+        assert dict(net.inter_edges) == {(_A1, _B1): 3.0, (_A2, _C2): 4.0}
+        with pytest.raises(TypeError):
+            net.intra_edges[(_A1, _A2)] = 5.0
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_subnetwork_equals_filtered_views(self, data):
+        layers = ("D", "B", "C", "A")
+        entities = [f"x{k}" for k in range(5)]
+        nodes = data.draw(
+            st.sets(st.builds(NodeRef, st.sampled_from(entities), st.sampled_from(layers)))
+        )
+        weight = st.floats(0.5, 9.0)
+        intra = {
+            edge_key(a, b): data.draw(weight)
+            for a, b in itertools.combinations(sorted(nodes), 2)
+            if a.layer == b.layer and data.draw(st.booleans())
+        }
+        inter = {
+            edge_key(a, b): data.draw(weight)
+            for a, b in itertools.combinations(sorted(nodes), 2)
+            if a.entity == b.entity and data.draw(st.booleans())
+        }
+        net = MultiLayerNetwork(layers, nodes, intra, inter)
+        chosen = data.draw(st.permutations(layers))[: data.draw(st.integers(0, 4))]
+        sub = net.subnetwork(chosen)
+        keep = set(chosen)
+        assert sub.layers == tuple(chosen)
+        assert sub.nodes == {n for n in nodes if n.layer in keep}
+        assert sub.vertices == vertex_order(chosen, sub.nodes)
+        assert dict(sub.intra_edges) == {e: w for e, w in intra.items() if e[0].layer in keep}
+        assert dict(sub.inter_edges) == {
+            e: w for e, w in inter.items() if {e[0].layer, e[1].layer} <= keep
+        }
 
 
 class TestCanonicalize:

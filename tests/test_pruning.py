@@ -1,22 +1,29 @@
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cobalt.model import NodeRef, edge_key
+from cobalt import cli
+from cobalt.build import build_network
+from cobalt.model import MultiLayerNetwork, NodeRef, ScoreTable, edge_key
 from cobalt.pruning import (
     edge_null_probability,
     edge_p_value,
-    null_context,
-    prune_graph,
     prune_network,
     quantize_weights,
 )
 
 from _support import (
     mln_from_edges,
+    null_context,
     p_value_oracle,
+    prune_graph,
     prune_survivors_oracle,
+    reference_prune,
+    reference_prune_graph,
+    reference_quantize,
 )
 
 
@@ -38,7 +45,7 @@ class TestQuantize:
 
     def test_context_degree_sum(self):
         counts = quantize_weights({("a", "b"): 2.0, ("b", "c"): 1.0}, 1.0)
-        ctx = null_context(counts, 1.0)
+        ctx = null_context(counts)
         assert ctx.total == 3
         assert sum(ctx.degrees.values()) == 2 * ctx.total
 
@@ -148,7 +155,7 @@ class TestPruneGraph:
         edges = {("a", "b"): 2.0, ("b", "c"): 1.0, ("a", "c"): 5.0}
         survivors = prune_graph(edges, alpha=1e-300, scale=1.0)
         counts = quantize_weights(edges, 1.0)
-        ctx = null_context(counts, 1.0)
+        ctx = null_context(counts)
         for edge in survivors:
             pv = edge_p_value(
                 counts[edge], ctx.degrees[edge[0]], ctx.degrees[edge[1]], ctx.total
@@ -180,7 +187,7 @@ class TestPruneGraph:
         edges = random_integer_graph(rng, max_total=12)
         once = prune_graph(edges, alpha=0.5, scale=1.0)
         counts = quantize_weights(edges, 1.0)
-        ctx = null_context(counts, 1.0)
+        ctx = null_context(counts)
         again = {
             e: w
             for e, w in once.items()
@@ -195,7 +202,7 @@ class TestPruneNetwork:
         edges = [("a", "b", 2.0), ("b", "c", 1.0), ("a", "c", 5.0)]
         mln = mln_from_edges({"L": edges})
         pruned = prune_network(mln, alpha=0.3, scale=1.0)
-        flat = prune_graph(
+        flat = reference_prune_graph(
             {
                 (edge_key(NodeRef(a, "L"), NodeRef(b, "L"))): w
                 for a, b, w in edges
@@ -241,3 +248,83 @@ class TestPruneNetwork:
         assert ab == []
         assert len(ac) == 2
         assert p_value_oracle(4, 4, 4, 8) == pytest.approx(0.011248, abs=1e-5)
+
+    def test_bad_alpha_and_scale_rejected_before_any_edge(self):
+        empty = MultiLayerNetwork((), frozenset(), {}, {})
+        for alpha in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="significance level"):
+                prune_network(empty, alpha=alpha)
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                prune_network(empty, scale=scale)
+
+
+class TestQuantizedTotalLimit:
+    def test_total_past_int64_raises(self):
+        # each count fits in int64, their total does not
+        mln = mln_from_edges({"L": [("a", "b", 5e18), ("b", "c", 5e18)]})
+        with pytest.raises(OverflowError, match="2\\*\\*63 - 1"):
+            prune_network(mln, alpha=0.05, scale=1.0)
+
+    def test_total_is_summed_exactly(self):
+        # 2^62 + (2^62 - 1024) = 2^63 - 1024 fits; 2^62 + 2^62 = 2^63 does not
+        fits = mln_from_edges({"L": [("a", "b", 2.0**62), ("b", "c", 2.0**62 - 1024)]})
+        prune_network(fits, alpha=0.05, scale=1.0)
+        past = mln_from_edges({"L": [("a", "b", 2.0**62), ("b", "c", 2.0**62)]})
+        with pytest.raises(OverflowError):
+            prune_network(past, alpha=0.05, scale=1.0)
+
+    def test_cli_exits_three(self, tmp_path, capsys):
+        # every exact tie weighs 1e9; at 1e12 counts per unit one tie is 1e21
+        scores = tmp_path / "s.csv"
+        scores.write_text("entity,A\ne1,1\ne2,1\ne3,2\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pruning": {"quantization": 1e12}}))
+        argv = ["build", str(scores), "--config", str(config)]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+        assert "2**63 - 1" in capsys.readouterr().err
+
+
+@st.composite
+def score_tables(draw):
+    """Tables with missing cells, integer 0-10 ties, one near-tie pair (z gap
+    about 1e-8) and entity and layer names out of sorted order."""
+    n = draw(st.integers(4, 12))
+    names = [f"e{k:02d}" for k in draw(st.permutations(range(n)))]
+    layers = draw(st.permutations(["C", "A", "D", "B"]))[: draw(st.integers(1, 4))]
+    scores = {}
+    for layer in layers:
+        kind = draw(st.sampled_from(["integer", "gaussian", "near_tie"]))
+        if kind == "integer":
+            values = draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+        else:
+            values = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+        values = [float(v) for v in values]
+        if kind == "near_tie":
+            values[1] = values[0] + 1e-8 * max(float(np.std(values)), 1e-3)
+        missing = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+        present = [(e, v) for i, (e, v) in enumerate(zip(names, values)) if i not in missing]
+        assume(len(present) >= 2 and np.std([v for _, v in present]) > 0)
+        scores.update({(e, layer): v for e, v in present})
+    assume(all(any((e, l) in scores for l in layers) for e in names))
+    return ScoreTable(tuple(names), tuple(layers), scores)
+
+
+class TestMatchesReferenceFilter:
+    @given(score_tables(), st.sampled_from([0.05, 0.3, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_prune_network_equals_dict_filter(self, table, alpha):
+        complete = build_network(table)
+        pruned = prune_network(complete, alpha=alpha)
+        intra, inter = reference_prune(complete, alpha=alpha)
+        for got, want in ((pruned.intra_edges, intra), (pruned.inter_edges, inter)):
+            assert set(got) == set(want)
+            assert {e: w.hex() for e, w in got.items()} == {
+                e: w.hex() for e, w in want.items()
+            }
+
+    def test_quantize_weights_equals_dict_quantizer(self):
+        rng = np.random.default_rng(8)
+        edges = {(f"n{i}", f"n{i + 1}"): float(w) for i, w in enumerate(rng.exponential(2e-3, 500))}
+        edges[("x", "y")] = 0.0025  # rounds half to even, to 2
+        assert quantize_weights(edges, 1000.0) == reference_quantize(edges, 1000.0)

@@ -313,3 +313,16 @@ class TestCobaltSelect:
         assert [r.breakdown.availability for r in base.records[1:]] == [
             r.breakdown.availability for r in shifted.records[1:]
         ]
+
+    def test_one_supragraph_per_selection(self, monkeypatch):
+        built = []
+        original = SupraGraph.__init__
+
+        def counted(self, mln):
+            built.append(mln)
+            original(self, mln)
+
+        monkeypatch.setattr(SupraGraph, "__init__", counted)
+        trace = run_selection(halves_and_parity_table(n=12, seed=2), PipelineConfig())
+        assert len(built) == 1
+        assert len(trace.records) == 3
