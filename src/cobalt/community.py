@@ -297,12 +297,13 @@ def _local_move(
     gamma: float,
     inv_layer_weight: list[float],
     rng: np.random.Generator,
-) -> tuple[int, np.ndarray, int]:
+) -> tuple[int, float, np.ndarray, int]:
     """Queue-driven local moving.
 
     ``comm_strengths[layer, c]`` is the strength of community c in a layer;
     it grows when a vertex opens a fresh community. Returns the number of
-    accepted moves, the strength table and the next unused community id.
+    accepted moves, their summed gain (``mu`` times the rise in Q), the
+    strength table and the next unused community id.
     """
     ptr = level.indptr.tolist()
     indices, weights = level.indices, level.weights
@@ -312,6 +313,7 @@ def _local_move(
         sum(k * k * inv_layer_weight[layer] for layer, k in terms) for terms in level.terms
     ]
     moves = 0
+    gain = 0.0
 
     while queue:
         v = queue.popleft()
@@ -344,6 +346,7 @@ def _local_move(
         # a fresh singleton community scores zero; take it when leaving wins
         if 0.0 > best_score + _GAIN_TOL:
             best_comm = next_id
+            best_score = 0.0
             next_id += 1
             if best_comm == comm_strengths.shape[1]:
                 comm_strengths = np.concatenate(
@@ -358,10 +361,11 @@ def _local_move(
             comm_strengths[layer, best_comm] += k
         comm[v] = best_comm
         moves += 1
+        gain += best_score - stay_score
         wake = nbrs[(nbr_comm != best_comm) & ~queued[nbrs]]
         queued[wake] = True
         queue.extend(wake.tolist())
-    return moves, comm_strengths, next_id
+    return moves, gain, comm_strengths, next_id
 
 
 def _refine(
@@ -549,14 +553,17 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
     comm_strengths = level.strengths.copy()
     next_id = level.n
     top = np.arange(level.n)  # level vertex holding each supra-graph vertex
+    # a move changes Q by its gain / mu; refinement and aggregation keep the
+    # partition, so each pass's quality follows from the singletons' quality
+    q = multislice_modularity(supra, _assignment(supra, comm), cfg.gamma)
     history: list[float] = []
 
     for _ in range(cfg.max_passes):
-        moves, comm_strengths, next_id = _local_move(
+        moves, gain, comm_strengths, next_id = _local_move(
             level, comm, comm_strengths, next_id, cfg.gamma, inv, rng
         )
-        flat = _assignment(supra, comm[top])
-        history.append(multislice_modularity(supra, flat, cfg.gamma))
+        q += gain / mu
+        history.append(q)
 
         refined = _refine(level, comm, cfg.gamma, cfg.theta, mu, inv, rng)
         if moves == 0 and len(np.unique(refined)) == level.n:

@@ -9,6 +9,7 @@ networks, which can also round-trip through GraphML with full attributes.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -186,10 +187,57 @@ def _open_write(target: str | Path | TextIO):
 
 
 def dump_json(payload: Any, target: str | Path | TextIO) -> None:
-    # one string and one write: json.dump with indent streams many small ones
-    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    """Write ``json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)``
+    and a newline, byte for byte."""
+    text = _indented(payload, 0)
     with _open_write(target) as fh:
         fh.write(text + "\n")
+
+
+_SCALAR = json.JSONEncoder(allow_nan=False).encode
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+
+
+def _is_rows(items: list | tuple) -> bool:
+    """True if every item is a non-empty list or tuple of scalars."""
+    return (
+        set(map(type, items)) <= {list, tuple}
+        and all(items)
+        and set(map(type, itertools.chain.from_iterable(items))) <= _SCALAR_TYPES
+    )
+
+
+def _indented(value: Any, depth: int) -> str:
+    """``value`` laid out as json does with ``indent=1``, from ``depth``.
+
+    json runs its pure-Python encoder whenever ``indent`` is set. A list of
+    flat rows is instead encoded by the C encoder in one call, with the
+    row-item separator; the row boundaries are then spliced into their
+    indented form. ``ensure_ascii`` output holds no raw newline inside a
+    string, so ``],\\n<pad>[`` occurs only between rows.
+    """
+    outer = "\n" + " " * depth
+    pad = outer + " "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f"{_SCALAR(k if isinstance(k, str) else _SCALAR(k))}: {_indented(v, depth + 1)}"
+            for k, v in sorted(value.items())
+        )
+        return "{" + pad + ("," + pad).join(items) + outer + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _is_rows(value):
+            inner = pad + " "
+            encoder = json.JSONEncoder(separators=("," + inner, ": "), allow_nan=False)
+            body = encoder.encode(value)[2:-2]
+            body = body.replace("]," + inner + "[", pad + "]," + pad + "[" + inner)
+            return "[" + pad + "[" + inner + body + pad + "]" + outer + "]"
+        items = (_indented(v, depth + 1) for v in value)
+        return "[" + pad + ("," + pad).join(items) + outer + "]"
+    return _SCALAR(value)
 
 
 def _json_safe(value: float) -> float | str | None:
@@ -247,9 +295,23 @@ def _field(raw: Any, name: str, kind: type | tuple[type, ...]) -> Any:
     return value
 
 
-def _rows(raw: Any, name: str, kinds: tuple) -> list[list]:
-    """The list field ``name`` whose entries are lists typed by ``kinds``."""
+def _columns(raw: Any, name: str, kinds: tuple) -> list[list]:
+    """Columns of the list field ``name``, whose entries are lists typed by
+    ``kinds``. Types are checked one whole column at a time; the rows are
+    walked one by one only when a check fails."""
     rows = _field(raw, name, list)
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(kinds)}):
+        _check_rows(rows, name, kinds)
+    columns = [list(map(operator.itemgetter(k), rows)) for k in range(len(kinds))]
+    exact = [set(kind) if isinstance(kind, tuple) else {kind} for kind in kinds]
+    if not all(set(map(type, col)) <= ok for col, ok in zip(columns, exact)):
+        _check_rows(rows, name, kinds)
+    return columns
+
+
+def _check_rows(rows: list, name: str, kinds: tuple) -> None:
+    """Name the first entry that is not a list typed by ``kinds``; subtypes
+    such as ``bool`` for ``int`` pass."""
     for row in rows:
         if not (
             isinstance(row, list)
@@ -259,7 +321,6 @@ def _rows(raw: Any, name: str, kinds: tuple) -> list[list]:
             raise InputFormatError(
                 f"artifact field {name!r} holds ill-typed entry {row!r}"
             )
-    return rows
 
 
 def _layers(raw: dict) -> tuple[str, ...]:
@@ -282,18 +343,17 @@ def _artifact(raw: Any, kind: str) -> dict:
 def _edge_arrays(raw: dict, name: str, index: dict[NodeRef, int]) -> EdgeArrays:
     """Rows of the edge field ``name`` as arrays over ``index``'s vertex ids,
     flipped rows turned to their canonical key; a repeated edge is an error."""
-    rows = _rows(raw, name, _EDGE)
-    x, y, z, w = ([row[k] for row in rows] for k in range(4))
+    x, y, z, w = _columns(raw, name, _EDGE)
     # rows are [entity_a, entity_b, layer, w] or [entity, layer_a, layer_b, w]
     intra = name == "intra_edges"
     ends = (zip(x, z), zip(y, z)) if intra else (zip(x, y), zip(x, z))
     try:
-        a, b = (np.fromiter(map(index.__getitem__, e), np.int64, len(rows)) for e in ends)
+        a, b = (np.fromiter(map(index.__getitem__, e), np.int64, len(w)) for e in ends)
     except KeyError as exc:
         raise InputFormatError(
             f"artifact field {name!r} names {exc.args[0]}, which is not in 'nodes'"
         ) from exc
-    flip = np.fromiter(map(operator.gt, *((x, y) if intra else (y, z))), bool, len(rows))
+    flip = np.fromiter(map(operator.gt, *((x, y) if intra else (y, z))), bool, len(w))
     a, b = np.where(flip, b, a), np.where(flip, a, b)
     key = np.sort(a * len(index) + b)
     repeated = key[1:][key[1:] == key[:-1]]
@@ -309,7 +369,7 @@ def _edge_arrays(raw: dict, name: str, index: dict[NodeRef, int]) -> EdgeArrays:
 def network_from_dict(raw: Any) -> MultiLayerNetwork:
     raw = _artifact(raw, "network")
     layers = _layers(raw)
-    nodes = frozenset(NodeRef(e, l) for e, l in _rows(raw, "nodes", (str, str)))
+    nodes = frozenset(map(NodeRef, *_columns(raw, "nodes", (str, str))))
     index = {v: i for i, v in enumerate(vertex_order(layers, nodes))}
     intra = _edge_arrays(raw, "intra_edges", index)
     inter = _edge_arrays(raw, "inter_edges", index)
@@ -332,8 +392,12 @@ def partition_to_dict(partition: Partition, extra: dict | None = None) -> dict:
 
 def partition_from_dict(raw: Any) -> Partition:
     raw = _artifact(raw, "partition")
-    assignment = {NodeRef(e, l): c for e, l, c in _rows(raw, "assignment", _MEMBER)}
-    return Partition(assignment, _field(raw, "quality", _NUMBER))
+    return Partition(_assignment(raw, "assignment"), _field(raw, "quality", _NUMBER))
+
+
+def _assignment(raw: dict, name: str) -> dict[NodeRef, int]:
+    entity, layer, community = _columns(raw, name, _MEMBER)
+    return dict(zip(map(NodeRef, entity, layer), community))
 
 
 def trace_to_dict(trace: IterationTrace, config: dict | None = None) -> dict:
@@ -383,9 +447,7 @@ def trace_from_dict(raw: Any) -> IterationTrace:
                 _field(item, "community_similarity", _NUMBER),
                 _json_number(cost),
             )
-        assignment = {
-            NodeRef(e, l): c for e, l, c in _rows(item, "partition", _MEMBER)
-        }
+        assignment = _assignment(item, "partition")
         modularity = _field(item, "modularity", _NUMBER)
         records.append(
             IterationRecord(

@@ -17,7 +17,6 @@ import math
 from typing import Hashable, Mapping
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .model import EdgeArrays, MultiLayerNetwork
 
@@ -69,9 +68,9 @@ def edge_null_probability(m: int, k_i: int, k_j: int, total: int) -> float:
     if p == 1.0:
         return 1.0 if m == total else 0.0
     log_pmf = (
-        gammaln(total + 1)
-        - gammaln(m + 1)
-        - gammaln(total - m + 1)
+        math.lgamma(total + 1)
+        - math.lgamma(m + 1)
+        - math.lgamma(total - m + 1)
         + m * math.log(p)
         + (total - m) * math.log1p(-p)
     )
@@ -85,6 +84,10 @@ def edge_p_value(count, k_i, k_j, total):
     Computed through the regularized incomplete beta function, which equals
     the binomial survival sum exactly and stays stable for large E.
     """
+    # imported here, not at module level: scipy roughly doubles the start-up
+    # of every command, and only the commands that filter edges need it
+    from scipy.special import betainc
+
     if np.any((count < 1) | (count > total)):
         raise ValueError(f"count outside [1, {total}]")
     p = k_i * k_j / (2.0 * total * total)

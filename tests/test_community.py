@@ -1,8 +1,10 @@
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cobalt import community
 from cobalt.community import (
     LeidenConfig,
     SupraGraph,
@@ -370,6 +372,64 @@ def random_weighted_graph(rng, groups: int, size: int, p_in: float, p_out: float
             if rng.random() < p:
                 edges.append((a, names[j], float(rng.uniform(0.5, 2.0))))
     return edges
+
+
+def leiden_with_pass_partitions(supra: SupraGraph, cfg: LeidenConfig):
+    """Run ``leiden`` and record the supra-graph partition after each pass's
+    move phase, by following the aggregation levels beside it."""
+    local_move, aggregate = community._local_move, community._aggregate
+    top = [np.arange(supra.vertex_count)]
+    passes = []
+
+    def record_move(level, comm, *args):
+        result = local_move(level, comm, *args)
+        passes.append(dict(zip(supra.vertices, comm[top[0]].tolist())))
+        return result
+
+    def record_aggregate(*args):
+        level, comm, sv = aggregate(*args)
+        top[0] = sv[top[0]]
+        return level, comm, sv
+
+    with mock.patch.object(community, "_local_move", record_move), mock.patch.object(
+        community, "_aggregate", record_aggregate
+    ):
+        result = leiden(supra, cfg)
+    return result, passes
+
+
+def assert_history_tracks_passes(supra: SupraGraph, cfg: LeidenConfig) -> int:
+    result, passes = leiden_with_pass_partitions(supra, cfg)
+    assert len(result.history) == len(passes) + 1
+    for quality, partition in zip(result.history, passes):
+        expected = multislice_modularity(supra, partition, cfg.gamma)
+        assert quality == pytest.approx(expected, abs=1e-9)
+    assert result.history[-1] == result.quality
+    return len(passes)
+
+
+class TestLeidenHistory:
+    """Each history entry is the modularity of the partition that pass's move
+    phase left, although leiden sums move gains instead of recomputing it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(multilayer_networks(), st.sampled_from([0.5, 1.0, 1.7]), st.integers(0, 9))
+    def test_history_is_modularity_of_each_pass(self, net, gamma, seed):
+        assume(net.nodes)
+        assert_history_tracks_passes(SupraGraph(net), LeidenConfig(gamma=gamma, seed=seed))
+
+    def test_history_over_several_passes(self):
+        rng = np.random.default_rng(7)
+        layers = {layer: random_weighted_graph(rng, 4, 12, 0.6, 0.08) for layer in "BA"}
+        entities = sorted({e for edges in layers.values() for a, b, _ in edges for e in (a, b)})
+        net = mln_from_edges(layers, couplings=[(e, "A", "B", 0.4) for e in entities])
+        supra = SupraGraph(net)
+        for seed in range(3):
+            for gamma in (0.8, 1.0, 1.3):
+                passes = assert_history_tracks_passes(
+                    supra, LeidenConfig(gamma=gamma, seed=seed)
+                )
+                assert passes >= 2
 
 
 class TestNetworkxOracles:

@@ -3,10 +3,11 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobalt import cli
 from cobalt import io as cio
-from cobalt.model import MultiLayerNetwork, Partition, ScoreTable
+from cobalt.model import MultiLayerNetwork, NodeRef, Partition, ScoreTable
 
 from _support import halves_and_parity_table, mln_from_edges
 
@@ -119,6 +120,78 @@ class TestNetworkJson:
     def test_rejects_foreign_payload(self):
         with pytest.raises(cio.InputFormatError):
             cio.network_from_dict({"format": "something-else"})
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 1e300, 2**63, "],\n   [", "],\n [", "é ü 漢  "])
+    | st.text(max_size=6)
+)
+json_rows = st.lists(json_scalars, min_size=1, max_size=4)
+json_row_lists = st.lists(json_rows | json_rows.map(tuple), max_size=5)
+json_payloads = st.recursive(
+    json_scalars | json_row_lists,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=300, deadline=None)
+    @given(json_payloads)
+    def test_bytes_equal_json_dumps(self, payload):
+        buf = io.StringIO()
+        cio.dump_json(payload, buf)
+        expected = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+        assert buf.getvalue() == expected + "\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[[1.0, float("nan")]], {"a": float("nan")}, [1, [float("-inf")]], float("inf")],
+    )
+    def test_non_finite_float_raises(self, payload):
+        with pytest.raises(ValueError):
+            cio.dump_json(payload, io.StringIO())
+
+
+# rows that pass or fail the (str, str, int) entry rule in every way: bools
+# pass as ints, tuples and short or long rows fail
+member_cells = st.text(max_size=2) | st.integers(-3, 3) | st.booleans() | st.floats(0, 1)
+member_rows = (
+    st.lists(member_cells, min_size=2, max_size=4)
+    | st.tuples(st.text(max_size=2), st.text(max_size=2), st.integers(0, 3))
+    | st.builds(list, st.tuples(st.text(max_size=2), st.text(max_size=2), st.integers(0, 3)))
+    | st.integers()
+)
+
+
+class TestArtifactRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(member_rows, max_size=6))
+    def test_column_checks_match_the_per_row_rule(self, rows):
+        kinds = (str, str, int)
+        bad = [
+            row
+            for row in rows
+            if not (
+                isinstance(row, list)
+                and len(row) == 3
+                and all(isinstance(v, k) for v, k in zip(row, kinds))
+            )
+        ]
+        raw = {"format": "cobalt-partition", "assignment": rows, "quality": 0.0}
+        if bad:
+            message = re.escape(f"ill-typed entry {bad[0]!r}")
+            with pytest.raises(cio.InputFormatError, match=message):
+                cio.partition_from_dict(raw)
+        else:
+            assignment = cio.partition_from_dict(raw).assignment
+            assert assignment == {NodeRef(e, l): c for e, l, c in rows}
 
 
 class TestGraphml:

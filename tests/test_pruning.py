@@ -1,9 +1,11 @@
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import gammaln
 
 from cobalt import cli
 from cobalt.build import build_network
@@ -78,6 +80,45 @@ class TestNullProbability:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError, match="> 1"):
             edge_null_probability(1, 20, 20, 4)
+
+    def test_lgamma_matches_scipy_gammaln_form(self):
+        """``math.lgamma`` against the same formula on scipy's ``gammaln``.
+
+        The two log-gamma implementations differ by up to a few ulp, and the
+        pmf inherits that absolute error in log space. So the relative bound
+        is 1e-12 for small totals and 16 ulp of lgamma(E + 1) for large ones:
+        about 1.5e-11 at E = 1e3 and 0.06 at E = 1e12.
+        """
+
+        def gammaln_form(m, k_i, k_j, total):
+            p = (k_i * k_j) / (2.0 * total * total)
+            return math.exp(
+                gammaln(total + 1)
+                - gammaln(m + 1)
+                - gammaln(total - m + 1)
+                + m * math.log(p)
+                + (total - m) * math.log1p(-p)
+            )
+
+        points = [(1, 2, 2, 4), (0, 2, 2, 4)] + [
+            (m, k_i, k_j, total)
+            for total in (1, 4, 9)
+            for k_i in range(1, total + 1)
+            for k_j in range(1, total + 1)
+            for m in range(total + 1)
+        ]
+        # degrees far below the total, so that m near the null mean
+        # k_i k_j / 2E = lam has a probability well above underflow
+        for total in (1_000, 12_345, 10**6, 10**9, 10**12):
+            for lam in (0.5, 3.0, 20.0):
+                k = math.isqrt(int(2 * total * lam))
+                points += [(m, k, k, total) for m in (0, 1, 2, 5, 20, 40)]
+        for m, k_i, k_j, total in points:
+            expected = gammaln_form(m, k_i, k_j, total)
+            rel = max(1e-12, 16 * math.ulp(math.lgamma(total + 1)))
+            assert edge_null_probability(m, k_i, k_j, total) == pytest.approx(
+                expected, rel=rel, abs=0.0
+            ), (m, k_i, k_j, total)
 
 
 class TestPValue:
