@@ -1,4 +1,4 @@
-"""Two-way purity and F-measure between community partitions.
+"""Two-way F-measure between community partitions.
 
 Partitions may cover different node sets; a ground-truth community whose
 members do not appear in the other partition at all simply contributes zero
@@ -9,7 +9,6 @@ arbitrary across independent detection runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 
@@ -32,47 +31,6 @@ def _canonical_communities(partition: Mapping[Hashable, int]) -> list[set]:
             groups[label] = set()
         groups[label].add(element)
     return [groups[label] for label in sorted(order, key=order.get)]
-
-
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Shared-element counts between the communities of two partitions."""
-
-    counts: tuple[tuple[int, ...], ...]
-    row_communities: tuple[frozenset, ...]
-    col_communities: tuple[frozenset, ...]
-
-
-def restrict_to_shared(
-    p_a: Mapping[Hashable, int], p_b: Mapping[Hashable, int]
-) -> tuple[dict, dict, set]:
-    """Both partitions restricted to their common elements.
-
-    Communities emptied by the restriction are dropped.
-    """
-    shared = set(p_a) & set(p_b)
-    return (
-        {e: c for e, c in p_a.items() if e in shared},
-        {e: c for e, c in p_b.items() if e in shared},
-        shared,
-    )
-
-
-def overlap_matrix(
-    p_a: Mapping[Hashable, int], p_b: Mapping[Hashable, int]
-) -> OverlapMatrix:
-    """Overlap counts over the shared elements of the two partitions."""
-    ra, rb, _ = restrict_to_shared(p_a, p_b)
-    rows = _canonical_communities(ra)
-    cols = _canonical_communities(rb)
-    counts = tuple(
-        tuple(len(r & c) for c in cols) for r in rows
-    )
-    return OverlapMatrix(
-        counts,
-        tuple(frozenset(r) for r in rows),
-        tuple(frozenset(c) for c in cols),
-    )
 
 
 def _require_shared(p_gt: Mapping, p_sys: Mapping) -> None:
@@ -126,26 +84,6 @@ def bidirectional_f(
     f_ab = one_way_f(p_a, p_b)[2]
     f_ba = one_way_f(p_b, p_a)[2]
     return _harmonic(f_ab, f_ba)
-
-
-def one_way_purity(
-    p_gt: Mapping[Hashable, int], p_sys: Mapping[Hashable, int]
-) -> float:
-    """Fraction of system elements landing in their best ground-truth match."""
-    _require_shared(p_gt, p_sys)
-    gt_groups = _canonical_communities(p_gt)
-    sys_groups = _canonical_communities(p_sys)
-    matched = sum(
-        max(len(s & g) for g in gt_groups) for s in sys_groups
-    )
-    return matched / len(p_sys)
-
-
-def bidirectional_purity(
-    p_a: Mapping[Hashable, int], p_b: Mapping[Hashable, int]
-) -> float:
-    """Harmonic mean of the two directed purities."""
-    return _harmonic(one_way_purity(p_a, p_b), one_way_purity(p_b, p_a))
 
 
 def _harmonic(x: float, y: float) -> float:

@@ -100,20 +100,18 @@ def _sweep_entry(
 def missingness_sweep(
     table: ScoreTable,
     config: PipelineConfig,
-    grid: Sequence[float] | None = None,
-    master_seed: int | None = None,
 ) -> MissingnessSweepReport:
     """Run the pipeline at every missingness ratio plus the 0% reference.
 
-    Ratios are independent: each draws its own removal set from a seed
-    derived from the master seed and the ratio's position in the grid.
+    The ratios and the master seed come from ``config.sweep``. Ratios are
+    independent: each draws its own removal set from a seed derived from
+    the master seed and the ratio's position in the grid.
     A ratio that leaves fewer than 3 entities in some layer (or whose
     pipeline fails outright) is marked failed and the sweep continues.
     """
     if not table.is_complete():
         raise ValueError("missingness sweep requires a complete table")
-    ratios = tuple(grid) if grid is not None else config.sweep.grid
-    base_seed = master_seed if master_seed is not None else config.sweep.master_seed
+    ratios, base_seed = config.sweep.grid, config.sweep.master_seed
 
     # selection in NONE mode: the sweep observes every iteration
     cfg = replace(config, selector=replace(config.selector, stopping="NONE"))

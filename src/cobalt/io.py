@@ -2,8 +2,8 @@
 
 CSV inputs: scores (``entity,<layer>,...``, empty cell = missing),
 covariates (``entity,age,gender``), targets (``entity,<layer>_t1,...``).
-Artifacts are deterministic JSON (sorted keys, no timestamps) except
-networks, which can also round-trip through GraphML with full attributes.
+Artifacts are deterministic JSON (sorted keys, no timestamps); networks can
+also be exported to attributed GraphML.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import operator
 from pathlib import Path
 from typing import Any, TextIO
-from xml.etree import ElementTree
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .model import (
     Partition,
     ScoreTable,
     TargetTable,
-    edge_key,
     vertex_order,
 )
 from .selector import IterationRecord, IterationTrace, LayerCostBreakdown
@@ -84,18 +82,6 @@ def read_score_table(source: str | Path | TextIO) -> ScoreTable:
                     f"line {lineno}, column {layer!r}: not a number: {cell!r}"
                 ) from exc
     return ScoreTable(tuple(entities), layers, scores)
-
-
-def write_score_table(table: ScoreTable, target: str | Path | TextIO) -> None:
-    with _open_write(target) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["entity", *table.layers])
-        for entity in table.entities:
-            row: list[str] = [entity]
-            for layer in table.layers:
-                value = table.get(entity, layer)
-                row.append("" if value is None else repr(value))
-            writer.writerow(row)
 
 
 def read_covariates(source: str | Path | TextIO) -> CovariateTable:
@@ -542,7 +528,8 @@ def export_graphml(
 ) -> None:
     """Write the network (and optional community ids) as attributed GraphML.
 
-    Weights carry 17 significant digits so the import is bit-exact.
+    Weights carry 17 significant digits, so a GraphML reader gets them
+    back bit-exact.
     """
     lines = [
         '<?xml version="1.0" encoding="utf-8"?>',
@@ -580,60 +567,6 @@ def export_graphml(
     lines.append("</graphml>")
     with _open_write(target) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def import_graphml(
-    source: str | Path | TextIO,
-) -> tuple[MultiLayerNetwork, Partition | None]:
-    """Parse a file written by :func:`export_graphml`."""
-    tree = ElementTree.parse(source)
-    root = tree.getroot()
-    ns = {"g": _GRAPHML_NS}
-    graph = root.find("g:graph", ns)
-    if graph is None:
-        raise InputFormatError("no <graph> element")
-
-    key_names = {
-        el.get("id"): el.get("attr.name") for el in root.findall("g:key", ns)
-    }
-
-    layers: tuple[str, ...] = ()
-    for data in graph.findall("g:data", ns):
-        if key_names.get(data.get("key")) == "layers":
-            layers = tuple(json.loads(data.text or "[]"))
-
-    nodes: dict[str, NodeRef] = {}
-    communities: dict[NodeRef, int] = {}
-    saw_community = False
-    for el in graph.findall("g:node", ns):
-        attrs = {
-            key_names.get(d.get("key")): d.text
-            for d in el.findall("g:data", ns)
-        }
-        node = NodeRef(attrs["entity"] or "", attrs["layer"] or "")
-        nodes[el.get("id") or ""] = node
-        if "community" in attrs:
-            saw_community = True
-            communities[node] = int(attrs["community"] or 0)
-
-    intra: dict = {}
-    inter: dict = {}
-    for el in graph.findall("g:edge", ns):
-        attrs = {
-            key_names.get(d.get("key")): d.text
-            for d in el.findall("g:data", ns)
-        }
-        a = nodes[el.get("source") or ""]
-        b = nodes[el.get("target") or ""]
-        weight = float(attrs["weight"] or "nan")
-        if attrs.get("kind") == "inter":
-            inter[edge_key(a, b)] = weight
-        else:
-            intra[edge_key(a, b)] = weight
-
-    network = MultiLayerNetwork(layers, frozenset(nodes.values()), intra, inter)
-    partition = Partition(communities, math.nan) if saw_community else None
-    return network, partition
 
 
 def _xml_escape(text: str) -> str:

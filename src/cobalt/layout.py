@@ -20,7 +20,6 @@ def fr_layout(
     nodes: Sequence[Hashable],
     edges: Mapping[tuple[Hashable, Hashable], float],
     seed: int = 0,
-    iterations: int = DEFAULT_ITERATIONS,
 ) -> dict[Hashable, tuple[float, float]]:
     """2D positions for ``nodes``; ``edges`` maps node pairs to weights."""
     n = len(nodes)
@@ -40,7 +39,7 @@ def fr_layout(
     k = 1.0 / np.sqrt(n)
     temperature = 0.1
 
-    for step in range(iterations):
+    for step in range(DEFAULT_ITERATIONS):
         delta = pos[:, None, :] - pos[None, :, :]
         dist = np.linalg.norm(delta, axis=-1)
         np.fill_diagonal(dist, 1.0)
@@ -63,7 +62,7 @@ def fr_layout(
         length = np.maximum(np.linalg.norm(disp, axis=1), 1e-9)
         capped = disp / length[:, None] * np.minimum(length, temperature)[:, None]
         pos += capped
-        temperature = 0.1 * (1.0 - (step + 1) / iterations)
+        temperature = 0.1 * (1.0 - (step + 1) / DEFAULT_ITERATIONS)
 
     pos -= pos.mean(axis=0)
     if not np.all(np.isfinite(pos)):

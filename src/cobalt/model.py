@@ -36,13 +36,6 @@ class NodeRef(NamedTuple):
 Edge = tuple[NodeRef, NodeRef]
 
 
-def edge_key(a: NodeRef, b: NodeRef) -> Edge:
-    """Canonical undirected edge key (endpoints in sorted order)."""
-    if a == b:
-        raise ValueError(f"self-loop on {a}")
-    return (a, b) if a <= b else (b, a)
-
-
 @dataclass(frozen=True)
 class ScoreTable:
     """Entities x layers score matrix with explicit missingness.
@@ -60,9 +53,6 @@ class ScoreTable:
 
     def has(self, entity: str, layer: str) -> bool:
         return (entity, layer) in self.scores
-
-    def get(self, entity: str, layer: str) -> float | None:
-        return self.scores.get((entity, layer))
 
     def layer_values(self, layer: str) -> tuple[list[str], list[float]]:
         """Entities with a value in ``layer`` (table order) and their scores."""
@@ -138,17 +128,17 @@ class MultiLayerNetwork:
     and the rank of its entity name. Edges live in two :class:`EdgeArrays`
     over these ids, ``intra`` with ``a < b`` and ``inter`` with ``a`` in the
     layer whose name sorts first: both are the canonical key order.
-    ``intra_edges`` and ``inter_edges`` are read-only mapping views of them,
-    built on first access. The constructor takes each edge set as
-    :class:`EdgeArrays` or as such a mapping, and checks both alike.
+    The constructor takes the two edge sets as :class:`EdgeArrays` in this
+    layout and checks every edge. ``intra_edges`` and ``inter_edges`` are
+    read-only mapping views of them, built on first access.
     """
 
     def __init__(
         self,
         layers: Iterable[str],
         nodes: Iterable[NodeRef],
-        intra_edges: Mapping[Edge, float] | EdgeArrays,
-        inter_edges: Mapping[Edge, float] | EdgeArrays,
+        intra: EdgeArrays,
+        inter: EdgeArrays,
     ):
         self.layers: tuple[str, ...] = tuple(layers)
         self.nodes: frozenset[NodeRef] = frozenset(nodes)
@@ -157,16 +147,17 @@ class MultiLayerNetwork:
         rank = {e: i for i, e in enumerate(sorted({n.entity for n in self.nodes}))}
         self.layer_of = np.array([layer_index[n.layer] for n in self.vertices], dtype=np.int64)
         self.entity_of = np.array([rank[n.entity] for n in self.vertices], dtype=np.int64)
-        self.intra, self.inter = (
-            edges if isinstance(edges, EdgeArrays) else self._arrays(edges)
-            for edges in (intra_edges, inter_edges)
-        )
+        self.intra, self.inter = intra, inter
         for array in (self.layer_of, self.entity_of, *self.intra, *self.inter):
             array.flags.writeable = False
         name_rank = layer_name_rank(self.layers)
-        for intra, (a, b, w) in ((True, self.intra), (False, self.inter)):
+        for is_intra, (a, b, w) in ((True, self.intra), (False, self.inter)):
+            outside = (np.minimum(a, b) < 0) | (np.maximum(a, b) >= len(self.vertices))
+            if outside.any():
+                i = int(outside.argmax())
+                raise ValueError(f"edge {a[i]}-{b[i]} has endpoint outside node set")
             la, lb = self.layer_of[a], self.layer_of[b]
-            if intra:
+            if is_intra:
                 kind, canonical = (la != lb, "intra edge {}-{} spans layers"), a < b
             else:
                 split = (self.entity_of[a] != self.entity_of[b]) | (la == lb)
@@ -184,15 +175,6 @@ class MultiLayerNetwork:
                     i = int(bad.argmax())
                     v = self.vertices
                     raise ValueError(message.format(v[a[i]], v[b[i]], float(w[i])))
-
-    def _arrays(self, edges: Mapping[Edge, float]) -> EdgeArrays:
-        index = {v: i for i, v in enumerate(self.vertices)}
-        for a, b in edges:
-            if a not in index or b not in index:
-                raise ValueError(f"edge {a}-{b} has endpoint outside node set")
-        ids = np.array([(index[a], index[b]) for a, b in edges], dtype=np.int64)
-        w = np.fromiter(edges.values(), np.float64, len(edges))
-        return EdgeArrays(*ids.reshape(-1, 2).T, w)
 
     def _view(self, edges: EdgeArrays) -> Mapping[Edge, float]:
         v = self.vertices
@@ -287,10 +269,3 @@ def validate_score_table(table: ScoreTable) -> list[str]:
             violations.append(f"entity {entity!r} has no score in any layer")
 
     return violations
-
-
-def layer_node_set(table: ScoreTable, layer: str) -> set[str]:
-    """Entities whose cell in ``layer`` is present."""
-    if layer not in table.layers:
-        raise ValueError(f"unknown layer {layer!r}")
-    return {e for e in table.entities if (e, layer) in table.scores}

@@ -13,7 +13,6 @@ inter-layer edge set of each unordered layer pair.
 
 from __future__ import annotations
 
-import math
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -51,30 +50,6 @@ def quantize_weights(
     live, counts, _ = _quantize(w, scale)
     kept = [edge for edge, keep in zip(edges, live.tolist()) if keep]
     return dict(zip(kept, counts.tolist()))
-
-
-def edge_null_probability(m: int, k_i: int, k_j: int, total: int) -> float:
-    """Pr(multiplicity == m) under Binomial(E, k_i k_j / 2E^2).
-
-    Evaluated in log space so large universes do not underflow.
-    """
-    if not 0 <= m <= total:
-        raise ValueError(f"multiplicity {m} outside [0, {total}]")
-    p = (k_i * k_j) / (2.0 * total * total)
-    if p > 1.0:
-        raise ValueError(f"null probability {p} > 1; degrees violate the model")
-    if p == 0.0:
-        return 1.0 if m == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if m == total else 0.0
-    log_pmf = (
-        math.lgamma(total + 1)
-        - math.lgamma(m + 1)
-        - math.lgamma(total - m + 1)
-        + m * math.log(p)
-        + (total - m) * math.log1p(-p)
-    )
-    return float(math.exp(log_pmf))
 
 
 def edge_p_value(count, k_i, k_j, total):

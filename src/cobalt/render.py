@@ -33,7 +33,6 @@ def render_layer_svg(
     partition: Partition,
     layer: str,
     seed: int = 0,
-    iterations: int = 500,
 ) -> str:
     """SVG text for one layer, nodes colored by community."""
     if not partition.assignment:
@@ -46,7 +45,7 @@ def render_layer_svg(
             raise ValueError(f"partition does not cover {node}")
 
     edges = network.subnetwork([layer]).intra_edges
-    positions = fr_layout(nodes, edges, seed=seed, iterations=iterations)
+    positions = fr_layout(nodes, edges, seed=seed)
     xs = [p[0] for p in positions.values()]
     ys = [p[1] for p in positions.values()]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
@@ -99,14 +98,13 @@ def render_network(
     partition: Partition,
     out_dir: str | Path,
     seed: int = 0,
-    iterations: int = 500,
 ) -> list[Path]:
     """One SVG file per layer in ``out_dir``; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for layer in network.layers:
-        svg = render_layer_svg(network, partition, layer, seed, iterations)
+        svg = render_layer_svg(network, partition, layer, seed)
         path = out / f"layer_{_safe_name(layer)}.svg"
         path.write_text(svg, encoding="utf-8")
         written.append(path)

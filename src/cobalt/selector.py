@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .community import LeidenConfig, LeidenResult, SupraGraph, leiden
 from .compare import bidirectional_f
@@ -65,10 +65,6 @@ class IterationTrace:
             layers = [r.layer for r in self.records]
             if len(set(layers)) != len(layers):
                 raise ValueError("a layer repeats in the trace")
-
-    @property
-    def final(self) -> IterationRecord:
-        return self.records[-1]
 
     def cost_bearing(self) -> tuple[IterationRecord, ...]:
         return tuple(r for r in self.records if r.breakdown is not None)
@@ -204,7 +200,6 @@ def cobalt_select(
     init: InitResult,
     cfg: LeidenConfig,
     stopping: str = "NONE",
-    candidate_order: Iterable[str] | None = None,
 ) -> IterationTrace:
     """Grow the network one least-cost layer at a time.
 
@@ -217,8 +212,7 @@ def cobalt_select(
     """
     if stopping not in STOPPING_MODES:
         raise ValueError(f"unknown stopping mode {stopping!r}")
-    order = tuple(candidate_order) if candidate_order is not None else pruned.layers
-    layer_entities = {layer: pruned.layer_nodes(layer) for layer in order}
+    layer_entities = {layer: pruned.layer_nodes(layer) for layer in pruned.layers}
 
     supra = init.supra
     selected = [init.best_layer]
@@ -226,7 +220,7 @@ def cobalt_select(
     records = [
         _record(1, init.best_layer, None, incumbent_result, supra.restrict(selected))
     ]
-    candidates = [l for l in order if l != init.best_layer]
+    candidates = [l for l in pruned.layers if l != init.best_layer]
 
     trace = IterationTrace(tuple(records))
     while candidates and not stopping_condition(trace, stopping):

@@ -7,14 +7,19 @@ package code is checked against an independent path, not against itself.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from itertools import chain, combinations
+from pathlib import Path
 from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
+import networkx as nx
 import numpy as np
 from scipy.special import betainc
 
-from cobalt.model import MultiLayerNetwork, NodeRef, ScoreTable, edge_key
+from cobalt import io as cio
+from cobalt.model import EdgeArrays, MultiLayerNetwork, NodeRef, ScoreTable, vertex_order
 from cobalt.pruning import prune_network
 
 
@@ -28,21 +33,42 @@ def mln_from_edges(
     extra_nodes: Sequence[tuple[str, str]] = (),
 ) -> MultiLayerNetwork:
     """Small network from explicit (entity_a, entity_b, weight) lists per layer
-    and (entity, layer_a, layer_b, weight) couplings."""
-    layers = tuple(layer_edges.keys())
-    nodes: set[NodeRef] = {NodeRef(e, l) for e, l in extra_nodes}
-    intra: dict = {}
-    for layer, edges in layer_edges.items():
-        for a, b, w in edges:
-            na, nb = NodeRef(a, layer), NodeRef(b, layer)
-            nodes.update((na, nb))
-            intra[edge_key(na, nb)] = w
-    inter: dict = {}
-    for entity, la, lb, w in couplings:
-        na, nb = NodeRef(entity, la), NodeRef(entity, lb)
-        nodes.update((na, nb))
-        inter[edge_key(na, nb)] = w
-    return MultiLayerNetwork(layers, frozenset(nodes), intra, inter)
+    and (entity, layer_a, layer_b, weight) couplings, read as the rows of a
+    ``cobalt-network`` artifact."""
+    intra = [[a, b, layer, w] for layer, edges in layer_edges.items() for a, b, w in edges]
+    inter = [[e, la, lb, w] for e, la, lb, w in couplings]
+    nodes = set(extra_nodes)
+    nodes.update((e, layer) for a, b, layer, _ in intra for e in (a, b))
+    nodes.update((e, layer) for e, la, lb, _ in inter for layer in (la, lb))
+    return cio.network_from_dict(
+        {
+            "format": "cobalt-network",
+            "layers": list(layer_edges),
+            "nodes": sorted(map(list, nodes)),
+            "intra_edges": intra,
+            "inter_edges": inter,
+        }
+    )
+
+
+def network_of(
+    layers: Sequence[str],
+    nodes: Sequence[NodeRef],
+    intra: Mapping[tuple[NodeRef, NodeRef], float],
+    inter: Mapping[tuple[NodeRef, NodeRef], float],
+) -> MultiLayerNetwork:
+    """Network whose edge arrays list the keys of ``intra`` and ``inter`` as
+    given, endpoints mapped to their ids in :func:`vertex_order`. An endpoint
+    outside ``nodes`` gets the id one past the last vertex."""
+    index = {v: i for i, v in enumerate(vertex_order(layers, nodes))}
+
+    def arrays(edges: Mapping[tuple[NodeRef, NodeRef], float]) -> EdgeArrays:
+        ids = [[index.get(v, len(index)) for v in edge] for edge in edges]
+        ids = np.array(ids, dtype=np.int64)
+        ids = ids.reshape(-1, 2)
+        return EdgeArrays(ids[:, 0], ids[:, 1], np.array(list(edges.values()), dtype=float))
+
+    return MultiLayerNetwork(layers, nodes, arrays(intra), arrays(inter))
 
 
 def clique_edges(members: Sequence[str], weight: float = 1.0) -> list:
@@ -93,6 +119,44 @@ def halves_and_parity_table(n: int = 40, seed: int = 0) -> ScoreTable:
     return planted_table(
         n, {"A": halves, "B": halves, "C": parity}, seed=seed
     )
+
+
+def write_score_csv(table: ScoreTable, path: Path) -> str:
+    """Write ``table`` as a scores CSV, each present cell as its ``repr``,
+    and return the path."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["entity", *table.layers])
+        for e in table.entities:
+            cells = (table.scores.get((e, layer)) for layer in table.layers)
+            writer.writerow([e, *("" if v is None else repr(v) for v in cells)])
+    return str(path)
+
+
+# ---------------------------------------------------------------------------
+# GraphML read back through networkx
+
+
+class GraphmlContents(NamedTuple):
+    """What a GraphML export holds: the ``layers`` graph attribute, each
+    node's community (None without one), and the weights by edge kind."""
+
+    layers: list[str]
+    communities: dict[NodeRef, int | None]
+    edges: dict[str, dict[tuple[NodeRef, NodeRef], float]]
+
+
+def read_graphml(source) -> GraphmlContents:
+    """A GraphML file parsed by ``networkx.read_graphml``; edge keys list
+    their endpoints in sorted order."""
+    graph = nx.read_graphml(source)
+    ref = {v: NodeRef(d["entity"], d["layer"]) for v, d in graph.nodes(data=True)}
+    communities = {ref[v]: d.get("community") for v, d in graph.nodes(data=True)}
+    edges: dict[str, dict] = {}
+    for u, v, d in graph.edges(data=True):
+        key = tuple(sorted((ref[u], ref[v])))
+        edges.setdefault(d["kind"], {})[key] = d["weight"]
+    return GraphmlContents(json.loads(graph.graph["layers"]), communities, edges)
 
 
 # ---------------------------------------------------------------------------

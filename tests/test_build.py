@@ -12,7 +12,6 @@ from cobalt.model import (
     InsufficientDataError,
     NodeRef,
     ScoreTable,
-    edge_key,
 )
 
 finite_scores = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -37,13 +36,13 @@ def reference_network(table: ScoreTable, layers):
     intra = {}
     for layer in layers:
         for a, b in itertools.combinations(z[layer], 2):
-            key = edge_key(NodeRef(a, layer), NodeRef(b, layer))
+            key = tuple(sorted((NodeRef(a, layer), NodeRef(b, layer))))
             intra[key] = edge_weight(z[layer][a], z[layer][b])
     inter = {}
     for la, lb in itertools.combinations(layers, 2):
         for e in z[la]:
             if e in z[lb]:
-                key = edge_key(NodeRef(e, la), NodeRef(e, lb))
+                key = tuple(sorted((NodeRef(e, la), NodeRef(e, lb))))
                 inter[key] = edge_weight(z[la][e], z[lb][e])
     return nodes, intra, inter
 

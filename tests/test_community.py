@@ -63,9 +63,7 @@ class TestMultisliceModularity:
         assert multislice_modularity(supra, part) == pytest.approx(0.0, abs=1e-9)
 
     def test_edgeless_graph_errors(self):
-        net = MultiLayerNetwork(
-            ("L",), frozenset({NodeRef("a", "L"), NodeRef("b", "L")}), {}, {}
-        )
+        net = mln_from_edges({"L": []}, extra_nodes=[("a", "L"), ("b", "L")])
         with pytest.raises(ValueError, match="no edges"):
             multislice_modularity(SupraGraph(net), {n: 0 for n in net.nodes})
 
@@ -163,13 +161,13 @@ class TestLeiden:
                 assert modularity_oracle(net, assignment) < best_q - 1e-9
 
     def test_single_vertex(self):
-        net = MultiLayerNetwork(("L",), frozenset({NodeRef("a", "L")}), {}, {})
+        net = mln_from_edges({"L": []}, extra_nodes=[("a", "L")])
         result = leiden(SupraGraph(net), LeidenConfig(seed=0))
         assert result.quality == 0.0
         assert result.partition.assignment == {NodeRef("a", "L"): 0}
 
     def test_empty_graph_errors(self):
-        net = MultiLayerNetwork(("L",), frozenset(), {}, {})
+        net = mln_from_edges({"L": []})
         with pytest.raises(ValueError, match="no vertices"):
             leiden(SupraGraph(net), LeidenConfig())
 

@@ -3,15 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobalt.compare import (
-    DisjointPartitionsError,
-    bidirectional_f,
-    bidirectional_purity,
-    one_way_f,
-    one_way_purity,
-    overlap_matrix,
-    restrict_to_shared,
-)
+from cobalt.compare import DisjointPartitionsError, bidirectional_f, one_way_f
 
 # Two partitions over partially overlapping node sets. The first groups
 # {pi, pj} together plus a singleton; the second keeps pi alone and holds two
@@ -123,70 +115,3 @@ class TestBidirectionalF:
         assert bidirectional_f(a, b) == pytest.approx(
             bidirectional_f(relabeled, b), abs=1e-12
         )
-
-
-class TestPurity:
-    def test_contained_system_community_is_pure(self):
-        gt = {f"n{i}": 0 for i in range(30)}
-        sys = {f"n{i}": 0 for i in range(15)}
-        assert one_way_purity(gt, sys) == 1.0
-
-    def test_reversed_direction_is_half(self):
-        gt = {f"n{i}": 0 for i in range(15)}
-        sys = {f"n{i}": 0 for i in range(30)}
-        assert one_way_purity(gt, sys) == pytest.approx(0.5)
-
-    def test_two_way_of_nested_communities(self):
-        big = {f"n{i}": 0 for i in range(30)}
-        small = {f"n{i}": 0 for i in range(15)}
-        expected = 2 * 1.0 * 0.5 / 1.5
-        assert bidirectional_purity(big, small) == pytest.approx(expected)
-        assert bidirectional_purity(big, small) < 1.0
-
-    def test_identical_two_way(self):
-        part = {"a": 0, "b": 1, "c": 1}
-        assert bidirectional_purity(part, part) == 1.0
-
-    @given(small_partitions, small_partitions)
-    @settings(max_examples=100)
-    def test_symmetry_and_range(self, a, b):
-        if not set(a) & set(b):
-            return
-        p_ab = bidirectional_purity(a, b)
-        assert p_ab == pytest.approx(bidirectional_purity(b, a), abs=1e-12)
-        assert 0.0 <= p_ab <= 1.0
-
-
-class TestRestrictToShared:
-    def test_identical_node_sets_unchanged(self):
-        a = {"x": 0, "y": 1}
-        b = {"x": 1, "y": 1}
-        ra, rb, shared = restrict_to_shared(a, b)
-        assert (ra, rb, shared) == (a, b, {"x", "y"})
-
-    def test_disjoint_sets_empty(self):
-        ra, rb, shared = restrict_to_shared({"x": 0}, {"y": 0})
-        assert ra == {} and rb == {} and shared == set()
-
-    def test_partial_overlap_size(self):
-        a = {f"n{i}": 0 for i in range(30)}
-        b = {f"n{i}": 0 for i in range(15, 45)}
-        ra, rb, shared = restrict_to_shared(a, b)
-        assert len(shared) == 15
-        assert set(ra) == set(rb) == shared
-
-
-class TestOverlapMatrix:
-    def test_counts(self):
-        a = {"a": 0, "b": 0, "c": 1}
-        b = {"a": 0, "b": 1, "c": 1}
-        matrix = overlap_matrix(a, b)
-        assert matrix.counts == ((1, 1), (0, 1))
-
-    def test_row_sums_bounded_by_shared(self):
-        a = {"a": 0, "b": 0, "c": 1, "zz": 0}
-        b = {"a": 0, "b": 1, "c": 1}
-        matrix = overlap_matrix(a, b)
-        shared = 3
-        for row in matrix.counts:
-            assert sum(row) <= shared

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cobalt.config import PipelineConfig
+from cobalt.config import PipelineConfig, SweepConfig
 from cobalt.evaluation import (
     build_design_matrix,
     cross_validate,
@@ -55,10 +56,14 @@ class TestInjectMissingness:
         assert len(reduced.entities) == 25 - round(0.1 * 25)
 
 
+def sweep_config(grid: list[float], master_seed: int) -> PipelineConfig:
+    return replace(PipelineConfig(), sweep=SweepConfig(tuple(grid), master_seed))
+
+
 class TestMissingnessSweep:
     def test_single_ratio_report_shape(self):
         table = halves_and_parity_table(n=24, seed=1)
-        report = missingness_sweep(table, PipelineConfig(), grid=[0.1], master_seed=4)
+        report = missingness_sweep(table, sweep_config([0.1], 4))
         assert report.reference.ratio == 0.0
         assert len(report.entries) == 1
         assert not report.reference.failed
@@ -73,20 +78,20 @@ class TestMissingnessSweep:
 
     def test_deterministic(self):
         table = halves_and_parity_table(n=20, seed=2)
-        a = missingness_sweep(table, PipelineConfig(), grid=[0.2, 0.4], master_seed=7)
-        b = missingness_sweep(table, PipelineConfig(), grid=[0.2, 0.4], master_seed=7)
+        a = missingness_sweep(table, sweep_config([0.2, 0.4], 7))
+        b = missingness_sweep(table, sweep_config([0.2, 0.4], 7))
         assert [e.removed for e in a.entries] == [e.removed for e in b.entries]
         assert [e.modularity for e in a.entries] == [e.modularity for e in b.entries]
 
     def test_ratio_leaving_too_few_entities_marked_failed(self):
         table = halves_and_parity_table(n=4, seed=0)
-        report = missingness_sweep(table, PipelineConfig(), grid=[0.5], master_seed=0)
+        report = missingness_sweep(table, sweep_config([0.5], 0))
         assert report.entries[0].failed
         assert "fewer than 3" in (report.entries[0].reason or "")
 
     def test_per_iteration_modularity_recorded(self):
         table = halves_and_parity_table(n=24, seed=5)
-        report = missingness_sweep(table, PipelineConfig(), grid=[0.25], master_seed=1)
+        report = missingness_sweep(table, sweep_config([0.25], 1))
         entry = report.entries[0]
         assert not entry.failed
         assert len(entry.modularity) == 3  # one value per iteration

@@ -9,16 +9,11 @@ from cobalt import cli
 from cobalt import io as cio
 from cobalt.model import MultiLayerNetwork, NodeRef, Partition, ScoreTable
 
-from _support import halves_and_parity_table, mln_from_edges
-
-
-def write_table_csv(path, table: ScoreTable):
-    cio.write_score_table(table, path)
-    return str(path)
+from _support import halves_and_parity_table, mln_from_edges, read_graphml, write_score_csv
 
 
 class TestScoreCsv:
-    def test_round_trip_cell_exact(self):
+    def test_round_trip_cell_exact(self, tmp_path):
         table = ScoreTable(
             ("e1", "e2", "e3"),
             ("A", "B"),
@@ -29,10 +24,7 @@ class TestScoreCsv:
                 ("e3", "B"): 1e-17,
             },
         )
-        buf = io.StringIO()
-        cio.write_score_table(table, buf)
-        buf.seek(0)
-        parsed = cio.read_score_table(buf)
+        parsed = cio.read_score_table(write_score_csv(table, tmp_path / "s.csv"))
         assert parsed.entities == table.entities
         assert parsed.layers == table.layers
         assert parsed.scores == dict(table.scores)
@@ -195,21 +187,23 @@ class TestArtifactRows:
 
 
 class TestGraphml:
-    def test_round_trip_identity(self):
+    def test_round_trip_identity(self, tmp_path):
+        """networkx reads back the layers, every node with its entity, layer
+        and community, and every weight bit for bit under its kind."""
         net = sample_network()
         partition = Partition(
             {n: i % 3 for i, n in enumerate(sorted(net.nodes))}, 0.25
         )
-        buf = io.StringIO()
-        cio.export_graphml(net, partition, buf)
-        buf.seek(0)
-        parsed_net, parsed_part = cio.import_graphml(buf)
-        assert parsed_net.layers == net.layers
-        assert parsed_net.nodes == net.nodes
-        assert parsed_net.intra_edges == dict(net.intra_edges)
-        assert parsed_net.inter_edges == dict(net.inter_edges)
-        assert parsed_part is not None
-        assert parsed_part.assignment == dict(partition.assignment)
+        path = tmp_path / "network.graphml"
+        cio.export_graphml(net, partition, path)
+        parsed = read_graphml(path)
+        assert parsed.layers == list(net.layers)
+        assert parsed.communities == dict(partition.assignment)
+        assert all(type(c) is int for c in parsed.communities.values())
+        assert parsed.edges == {
+            "intra": dict(net.intra_edges),
+            "inter": dict(net.inter_edges),
+        }
 
     def test_inter_edges_carry_kind(self):
         buf = io.StringIO()
@@ -226,18 +220,17 @@ class TestGraphml:
         for text in weights:
             assert float(text) in {2.5, 1.0 / 3.0, 7.0, 0.125, 9.75}
 
-    def test_partitionless_round_trip(self):
-        buf = io.StringIO()
-        cio.export_graphml(sample_network(), None, buf)
-        buf.seek(0)
-        _, partition = cio.import_graphml(buf)
-        assert partition is None
+    def test_partitionless_round_trip(self, tmp_path):
+        path = tmp_path / "network.graphml"
+        cio.export_graphml(sample_network(), None, path)
+        parsed = read_graphml(path)
+        assert parsed.communities == dict.fromkeys(sample_network().nodes)
 
 
 @pytest.fixture()
 def score_csv(tmp_path):
     table = halves_and_parity_table(n=16, seed=3)
-    return write_table_csv(tmp_path / "scores.csv", table)
+    return write_score_csv(table, tmp_path / "scores.csv")
 
 
 class TestCliBuild:
@@ -269,6 +262,17 @@ class TestCliBuild:
         code = cli.main(["build", str(dup), "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "duplicate" in capsys.readouterr().err
+
+    def test_directory_as_scores_exits_two(self, tmp_path, capsys):
+        code = cli.main(["build", str(tmp_path), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_dir_that_is_a_file_exits_two(self, score_csv, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main(["build", score_csv, "--out-dir", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_quantization_overflow_exits_three(self, score_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -331,7 +335,7 @@ class TestCliSelect:
 class TestCliSweep:
     def test_small_grid(self, tmp_path, capsys):
         table = halves_and_parity_table(n=14, seed=2)
-        csv_path = write_table_csv(tmp_path / "s.csv", table)
+        csv_path = write_score_csv(table, tmp_path / "s.csv")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {"grid": [0.5], "master_seed": 3}}))
         out = tmp_path / "sweep"
@@ -352,7 +356,7 @@ class TestCliSweep:
 class TestCliEvaluate:
     def test_report_shape(self, tmp_path, capsys):
         table = halves_and_parity_table(n=20, seed=4)
-        csv_path = write_table_csv(tmp_path / "s.csv", table)
+        csv_path = write_score_csv(table, tmp_path / "s.csv")
         cov = tmp_path / "cov.csv"
         cov.write_text(
             "entity,age,gender\n"
@@ -461,7 +465,7 @@ class TestCliMalformedArtifacts:
 class TestCliRenderExport:
     def _build_artifacts(self, tmp_path):
         table = halves_and_parity_table(n=12, seed=6)
-        csv_path = write_table_csv(tmp_path / "s.csv", table)
+        csv_path = write_score_csv(table, tmp_path / "s.csv")
         sel = tmp_path / "sel"
         assert cli.main(["select", csv_path, "--out-dir", str(sel)]) == 0
         assert cli.main(["build", csv_path, "--out-dir", str(sel)]) == 0
@@ -529,11 +533,16 @@ class TestCliRenderExport:
             ]
         )
         assert code == 0
-        net, part = cio.import_graphml(out / "network.graphml")
+        parsed = read_graphml(out / "network.graphml")
         original = cio.network_from_dict(
             json.loads((sel / "network.json").read_text())
         )
-        assert net.nodes == original.nodes
-        assert net.intra_edges == dict(original.intra_edges)
-        assert net.inter_edges == dict(original.inter_edges)
-        assert part is not None
+        partition = cio.partition_from_dict(
+            json.loads((sel / "partition_iter03.json").read_text())
+        )
+        assert parsed.layers == list(original.layers)
+        assert parsed.communities == dict(partition.assignment)
+        assert parsed.edges == {
+            "intra": dict(original.intra_edges),
+            "inter": dict(original.inter_edges),
+        }

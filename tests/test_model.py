@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -13,13 +12,11 @@ from cobalt.model import (
     NodeRef,
     Partition,
     ScoreTable,
-    edge_key,
-    layer_node_set,
     validate_score_table,
     vertex_order,
 )
 
-from _support import co_membership
+from _support import co_membership, network_of
 
 
 def make_table(cells, entities=("e1", "e2", "e3"), layers=("A", "B"), ranges=None):
@@ -66,25 +63,27 @@ class TestValidateScoreTable:
 
 
 class TestLayerNodeSet:
+    """A layer's present entities, as ``ScoreTable.layer_values`` lists them."""
+
     def test_complete_column(self):
         table = make_table({(e, "A"): 1.0 for e in ("e1", "e2", "e3")}, layers=("A",))
-        assert layer_node_set(table, "A") == {"e1", "e2", "e3"}
+        assert set(table.layer_values("A")[0]) == {"e1", "e2", "e3"}
 
     def test_empty_column(self):
         table = make_table({(e, "A"): 1.0 for e in ("e1", "e2", "e3")})
-        assert layer_node_set(table, "B") == set()
+        assert set(table.layer_values("B")[0]) == set()
 
     def test_partial_column_cardinality(self):
         entities = tuple(f"e{i}" for i in range(5))
         cells = {(e, "A"): float(i) for i, e in enumerate(entities[:3])}
         cells.update({(e, "B"): 1.0 for e in entities})
         table = make_table(cells, entities=entities)
-        assert layer_node_set(table, "A") == set(entities[:3])
+        assert set(table.layer_values("A")[0]) == set(entities[:3])
 
     def test_unknown_layer_raises(self):
         table = make_table({("e1", "A"): 1.0})
         with pytest.raises(ValueError, match="unknown layer"):
-            layer_node_set(table, "Z")
+            set(table.layer_values("Z")[0])
 
     def test_cardinality_matches_cell_count_every_layer(self):
         entities = tuple(f"e{i}" for i in range(6))
@@ -96,43 +95,44 @@ class TestLayerNodeSet:
         table = make_table(cells, entities=entities)
         for layer in table.layers:
             expected = sum(1 for e in entities if (e, layer) in cells)
-            assert len(layer_node_set(table, layer)) == expected
+            assert len(set(table.layer_values(layer)[0])) == expected
 
 
 class TestNetworkInvariants:
     def test_self_loop_rejected(self):
         node = NodeRef("e1", "A")
         with pytest.raises(ValueError, match="self-loop"):
-            edge_key(node, node)
+            network_of(("A",), {node}, {(node, node): 1.0}, {})
 
     def test_inter_edge_must_share_entity(self):
         a, b = NodeRef("e1", "A"), NodeRef("e2", "B")
         with pytest.raises(ValueError, match="couple one entity"):
-            MultiLayerNetwork(
-                ("A", "B"), frozenset({a, b}), {}, {edge_key(a, b): 1.0}
-            )
+            network_of(("A", "B"), {a, b}, {}, {(a, b): 1.0})
 
     def test_intra_edge_must_stay_in_layer(self):
         a, b = NodeRef("e1", "A"), NodeRef("e1", "B")
         with pytest.raises(ValueError, match="spans layers"):
-            MultiLayerNetwork(
-                ("A", "B"), frozenset({a, b}), {edge_key(a, b): 1.0}, {}
-            )
+            network_of(("A", "B"), {a, b}, {(a, b): 1.0}, {})
 
     def test_non_positive_weight_rejected(self):
         a, b = NodeRef("e1", "A"), NodeRef("e2", "A")
         with pytest.raises(ValueError, match="weight"):
-            MultiLayerNetwork(("A",), frozenset({a, b}), {edge_key(a, b): 0.0}, {})
+            network_of(("A",), {a, b}, {(a, b): 0.0}, {})
+
+    def test_negative_vertex_id_rejected(self):
+        # -3 < 1 would pass the canonical-order check and wrap to vertex 0
+        a, b, c = NodeRef("e1", "A"), NodeRef("e2", "A"), NodeRef("e3", "A")
+        ids = np.array([-3]), np.array([1])
+        none = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError, match="endpoint outside node set"):
+            MultiLayerNetwork(
+                ("A",), {a, b, c}, EdgeArrays(*ids, np.ones(1)), EdgeArrays(none, none, none)
+            )
 
     def test_subnetwork_keeps_only_chosen_layers(self):
         a1, b1 = NodeRef("e1", "A"), NodeRef("e2", "A")
         a2 = NodeRef("e1", "B")
-        net = MultiLayerNetwork(
-            ("A", "B"),
-            frozenset({a1, b1, a2}),
-            {edge_key(a1, b1): 1.0},
-            {edge_key(a1, a2): 2.0},
-        )
+        net = network_of(("A", "B"), {a1, b1, a2}, {(a1, b1): 1.0}, {(a1, a2): 2.0})
         sub = net.subnetwork(["A"])
         assert sub.layers == ("A",)
         assert sub.nodes == frozenset({a1, b1})
@@ -153,44 +153,25 @@ _NETWORK_RULES = [
         (("A", "B"), _ALL, {(_A1, _A1): 1.0}, {}, "self-loop on"),
         (("A", "B"), _ALL, {(_A2, _A1): 1.0}, {}, "not in canonical order"),
         (("A", "B"), _ALL, {}, {(_B1, _A1): 1.0}, "not in canonical order"),
-        (("A", "B"), frozenset({_A1}), {(_A1, _A2): 1.0}, {}, "endpoint outside node set"),
-        (("A", "B"), frozenset({_A1}), {}, {(_A1, _B1): 1.0}, "endpoint outside node set"),
         (("A", "B"), _ALL, {(_A1, _A2): 0.0}, {}, "non-positive weight"),
         (("A", "B"), _ALL, {(_A1, _A2): -1.0}, {}, "non-positive weight"),
         (("A", "B"), _ALL, {}, {(_A1, _B1): math.nan}, "non-positive weight"),
         (("A", "B"), _ALL, {}, {(_A1, _B1): math.inf}, "non-positive weight"),
+        (("A", "B"), frozenset({_A1}), {(_A1, _A2): 1.0}, {}, "endpoint outside node set"),
+        (("A", "B"), frozenset({_A1}), {}, {(_A1, _B1): 1.0}, "endpoint outside node set"),
 ]
 
 
 @pytest.mark.parametrize("layers, nodes, intra, inter, message", _NETWORK_RULES)
-def test_each_network_rule_raises_its_message(layers, nodes, intra, inter, message):
-    with pytest.raises(ValueError, match=message):
-        MultiLayerNetwork(layers, nodes, intra, inter)
-
-
-@pytest.mark.parametrize(
-    "layers, nodes, intra, inter, message",
-    [rule for rule in _NETWORK_RULES if "outside node set" not in rule[-1]],
-)
 def test_array_edges_follow_the_same_rules(layers, nodes, intra, inter, message):
-    try:
-        index = {v: i for i, v in enumerate(vertex_order(layers, nodes))}
-    except ValueError as exc:
-        assert re.search(message, str(exc))
-        return
-
-    def arrays(edges):
-        ids = np.array([[index[a], index[b]] for a, b in edges], dtype=np.int64)
-        ids = ids.reshape(-1, 2)
-        return EdgeArrays(ids[:, 0], ids[:, 1], np.array(list(edges.values()), dtype=float))
-
+    """Each rule the constructor checks on its edge arrays raises its message."""
     with pytest.raises(ValueError, match=message):
-        MultiLayerNetwork(layers, nodes, arrays(intra), arrays(inter))
+        network_of(layers, nodes, intra, inter)
 
 
 class TestEdgeArrays:
     def test_views_are_read_only_and_follow_the_arrays(self):
-        net = MultiLayerNetwork(
+        net = network_of(
             ("B", "A"), _ALL, {(_A1, _A2): 2.0}, {(_A1, _B1): 3.0, (_A2, _C2): 4.0}
         )
         assert [net.vertices[i] for i in range(4)] == [_B1, _C2, _A1, _A2]
@@ -211,16 +192,16 @@ class TestEdgeArrays:
         )
         weight = st.floats(0.5, 9.0)
         intra = {
-            edge_key(a, b): data.draw(weight)
+            (a, b): data.draw(weight)
             for a, b in itertools.combinations(sorted(nodes), 2)
             if a.layer == b.layer and data.draw(st.booleans())
         }
         inter = {
-            edge_key(a, b): data.draw(weight)
+            (a, b): data.draw(weight)
             for a, b in itertools.combinations(sorted(nodes), 2)
             if a.entity == b.entity and data.draw(st.booleans())
         }
-        net = MultiLayerNetwork(layers, nodes, intra, inter)
+        net = network_of(layers, nodes, intra, inter)
         chosen = data.draw(st.permutations(layers))[: data.draw(st.integers(0, 4))]
         sub = net.subnetwork(chosen)
         keep = set(chosen)

@@ -1,23 +1,17 @@
 
 import json
-import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.special import gammaln
 
 from cobalt import cli
 from cobalt.build import build_network
-from cobalt.model import MultiLayerNetwork, NodeRef, ScoreTable, edge_key
-from cobalt.pruning import (
-    edge_null_probability,
-    edge_p_value,
-    prune_network,
-    quantize_weights,
-)
+from cobalt.model import NodeRef, ScoreTable
+from cobalt.pruning import edge_p_value, prune_network, quantize_weights
 
 from _support import (
+    binomial_pmf_oracle,
     mln_from_edges,
     null_context,
     p_value_oracle,
@@ -52,75 +46,6 @@ class TestQuantize:
         assert sum(ctx.degrees.values()) == 2 * ctx.total
 
 
-class TestNullProbability:
-    def test_known_point_mass(self):
-        assert edge_null_probability(1, 2, 2, 4) == pytest.approx(
-            0.3349609375, abs=1e-12
-        )
-
-    def test_known_zero_term(self):
-        assert edge_null_probability(0, 2, 2, 4) == pytest.approx(
-            0.586181640625, abs=1e-12
-        )
-
-    def test_degenerate_degree(self):
-        assert edge_null_probability(0, 0, 5, 4) == 1.0
-        assert edge_null_probability(2, 0, 5, 4) == 0.0
-
-    def test_distribution_sums_to_one_small(self):
-        for total in (1, 4, 9):
-            for k_i in range(0, total + 1):
-                for k_j in range(0, total + 1):
-                    s = sum(
-                        edge_null_probability(m, k_i, k_j, total)
-                        for m in range(total + 1)
-                    )
-                    assert s == pytest.approx(1.0, abs=1e-9)
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError, match="> 1"):
-            edge_null_probability(1, 20, 20, 4)
-
-    def test_lgamma_matches_scipy_gammaln_form(self):
-        """``math.lgamma`` against the same formula on scipy's ``gammaln``.
-
-        The two log-gamma implementations differ by up to a few ulp, and the
-        pmf inherits that absolute error in log space. So the relative bound
-        is 1e-12 for small totals and 16 ulp of lgamma(E + 1) for large ones:
-        about 1.5e-11 at E = 1e3 and 0.06 at E = 1e12.
-        """
-
-        def gammaln_form(m, k_i, k_j, total):
-            p = (k_i * k_j) / (2.0 * total * total)
-            return math.exp(
-                gammaln(total + 1)
-                - gammaln(m + 1)
-                - gammaln(total - m + 1)
-                + m * math.log(p)
-                + (total - m) * math.log1p(-p)
-            )
-
-        points = [(1, 2, 2, 4), (0, 2, 2, 4)] + [
-            (m, k_i, k_j, total)
-            for total in (1, 4, 9)
-            for k_i in range(1, total + 1)
-            for k_j in range(1, total + 1)
-            for m in range(total + 1)
-        ]
-        # degrees far below the total, so that m near the null mean
-        # k_i k_j / 2E = lam has a probability well above underflow
-        for total in (1_000, 12_345, 10**6, 10**9, 10**12):
-            for lam in (0.5, 3.0, 20.0):
-                k = math.isqrt(int(2 * total * lam))
-                points += [(m, k, k, total) for m in (0, 1, 2, 5, 20, 40)]
-        for m, k_i, k_j, total in points:
-            expected = gammaln_form(m, k_i, k_j, total)
-            rel = max(1e-12, 16 * math.ulp(math.lgamma(total + 1)))
-            assert edge_null_probability(m, k_i, k_j, total) == pytest.approx(
-                expected, rel=rel, abs=0.0
-            ), (m, k_i, k_j, total)
-
-
 class TestPValue:
     def test_complement_of_zero_term(self):
         expected = 1.0 - 0.586181640625
@@ -140,8 +65,9 @@ class TestPValue:
     def test_exact_complement_identity(self):
         for total in (2, 5, 11):
             for k in range(1, total + 1):
+                p = k * k / (2.0 * total * total)
                 lhs = edge_p_value(1, k, k, total)
-                rhs = 1.0 - edge_null_probability(0, k, k, total)
+                rhs = 1.0 - binomial_pmf_oracle(0, total, p)
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @given(
@@ -245,7 +171,7 @@ class TestPruneNetwork:
         pruned = prune_network(mln, alpha=0.3, scale=1.0)
         flat = reference_prune_graph(
             {
-                (edge_key(NodeRef(a, "L"), NodeRef(b, "L"))): w
+                tuple(sorted((NodeRef(a, "L"), NodeRef(b, "L")))): w
                 for a, b, w in edges
             },
             alpha=0.3,
@@ -291,7 +217,7 @@ class TestPruneNetwork:
         assert p_value_oracle(4, 4, 4, 8) == pytest.approx(0.011248, abs=1e-5)
 
     def test_bad_alpha_and_scale_rejected_before_any_edge(self):
-        empty = MultiLayerNetwork((), frozenset(), {}, {})
+        empty = mln_from_edges({})
         for alpha in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="significance level"):
                 prune_network(empty, alpha=alpha)

@@ -4,7 +4,7 @@ import pytest
 
 from cobalt.community import LeidenConfig, SupraGraph
 from cobalt.config import PipelineConfig
-from cobalt.model import MultiLayerNetwork, NodeRef, Partition
+from cobalt.model import NodeRef, Partition
 from cobalt.pipeline import run_selection
 from cobalt.selector import (
     IterationRecord,
@@ -135,7 +135,7 @@ class TestCobaltInit:
         assert init.best_layer == "first"
 
     def test_empty_errors(self):
-        empty = MultiLayerNetwork((), frozenset(), {}, {})
+        empty = mln_from_edges({})
         with pytest.raises(ValueError, match="no layers"):
             cobalt_init(SupraGraph(empty), LeidenConfig())
 
