@@ -153,20 +153,31 @@ _NETWORK_RULES = [
         (("A", "B"), _ALL, {(_A1, _A1): 1.0}, {}, "self-loop on"),
         (("A", "B"), _ALL, {(_A2, _A1): 1.0}, {}, "not in canonical order"),
         (("A", "B"), _ALL, {}, {(_B1, _A1): 1.0}, "not in canonical order"),
+        (("A", "B"), frozenset({_A1}), {(_A1, _A2): 1.0}, {}, "endpoint outside node set"),
+        (("A", "B"), frozenset({_A1}), {}, {(_A1, _B1): 1.0}, "endpoint outside node set"),
         (("A", "B"), _ALL, {(_A1, _A2): 0.0}, {}, "non-positive weight"),
         (("A", "B"), _ALL, {(_A1, _A2): -1.0}, {}, "non-positive weight"),
         (("A", "B"), _ALL, {}, {(_A1, _B1): math.nan}, "non-positive weight"),
         (("A", "B"), _ALL, {}, {(_A1, _B1): math.inf}, "non-positive weight"),
-        (("A", "B"), frozenset({_A1}), {(_A1, _A2): 1.0}, {}, "endpoint outside node set"),
-        (("A", "B"), frozenset({_A1}), {}, {(_A1, _B1): 1.0}, "endpoint outside node set"),
 ]
 
 
 @pytest.mark.parametrize("layers, nodes, intra, inter, message", _NETWORK_RULES)
-def test_array_edges_follow_the_same_rules(layers, nodes, intra, inter, message):
-    """Each rule the constructor checks on its edge arrays raises its message."""
+def test_each_network_rule_raises_its_message(layers, nodes, intra, inter, message):
     with pytest.raises(ValueError, match=message):
         network_of(layers, nodes, intra, inter)
+
+
+@pytest.mark.parametrize(
+    "layers, nodes, intra, inter, message",
+    [rule for rule in _NETWORK_RULES if "outside node set" not in rule[-1]],
+)
+def test_array_edges_follow_the_same_rules(layers, nodes, intra, inter, message):
+    """A bad edge behind a valid one is caught too: the checks scan whole arrays."""
+    valid_intra = {(_B1, _C2): 1.0} if intra else {}
+    valid_inter = {(_A2, _C2): 1.0} if inter else {}
+    with pytest.raises(ValueError, match=message):
+        network_of(layers, nodes, {**valid_intra, **intra}, {**valid_inter, **inter})
 
 
 class TestEdgeArrays:
