@@ -10,8 +10,7 @@ is clamped below at ``EPSILON``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -27,18 +26,9 @@ from .model import (
 EPSILON = 1e-9
 
 
-@dataclass(frozen=True)
-class LayerNormalization:
-    """Z-scored column of one layer plus the moments used to compute it."""
-
-    layer: str
-    mean: float
-    std: float
-    values: Mapping[str, float]
-
-
-def normalize_layer(table: ScoreTable, layer: str) -> LayerNormalization:
-    """Z-score the present cells of ``layer`` (population standard deviation).
+def normalize_layer(table: ScoreTable, layer: str) -> dict[str, float]:
+    """Z-scores of the present cells of ``layer`` (population standard
+    deviation), by entity.
 
     Raises :class:`InsufficientDataError` for fewer than two present scores
     and :class:`DegenerateLayerError` for a constant column.
@@ -54,7 +44,7 @@ def normalize_layer(table: ScoreTable, layer: str) -> LayerNormalization:
     if std <= 0.0:
         raise DegenerateLayerError(f"layer {layer!r} is constant (std = 0)")
     z = (arr - mean) / std
-    return LayerNormalization(layer, mean, std, dict(zip(entities, z.tolist())))
+    return dict(zip(entities, z.tolist()))
 
 
 def edge_weight(z_a, z_b, eps: float = EPSILON):
@@ -74,7 +64,7 @@ def build_network(
     chosen = tuple(layers) if layers is not None else table.layers
     if not chosen:
         raise ValueError("need at least one layer")
-    norms = {layer: normalize_layer(table, layer).values for layer in chosen}
+    norms = {layer: normalize_layer(table, layer) for layer in chosen}
 
     # vertex ids in the network's order: by layer, then entity name
     vertices = [NodeRef(e, layer) for layer in chosen for e in sorted(norms[layer])]

@@ -57,8 +57,11 @@ class RegressionConfig:
             raise ValueError(f"need at least 2 folds, got {self.folds}")
         if not self.lambda_grid:
             raise ValueError("lambda grid must not be empty")
-        if any(l < 0 for l in self.lambda_grid):
-            raise ValueError("lambda values must be non-negative")
+        if not all(l > 0 for l in self.lambda_grid):
+            raise ValueError(
+                "lambda values must be positive: the one-hot design columns are "
+                "collinear, so lambda = 0 has no unique fit"
+            )
 
 
 @dataclass(frozen=True)

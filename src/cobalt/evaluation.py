@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import PipelineConfig
-from .model import CovariateTable, ScoreTable, TargetTable
+from .model import CovariateTable, ScoreTable
 from .pipeline import run_selection
 from .selector import IterationTrace, project_partition
 
@@ -140,7 +140,7 @@ class DesignMatrix:
 def build_design_matrix(
     covariates: CovariateTable,
     table_t0: ScoreTable,
-    targets: TargetTable,
+    targets: ScoreTable,
     target_layer: str,
     partition: Mapping[str, int] | None = None,
 ) -> tuple[DesignMatrix, np.ndarray]:
@@ -162,7 +162,7 @@ def build_design_matrix(
         if e in covariates.age
         and e in covariates.gender
         and table_t0.has(e, target_layer)
-        and (e, target_layer) in targets.values
+        and targets.has(e, target_layer)
     ]
     if not rows:
         raise ValueError(f"no eligible rows for target {target_layer!r}")
@@ -191,7 +191,7 @@ def build_design_matrix(
             else:
                 matrix[i, base + community_ids.index(comm)] = 1.0
 
-    y = np.array([targets.values[(e, target_layer)] for e in rows])
+    y = np.array([targets.scores[(e, target_layer)] for e in rows])
     return DesignMatrix(matrix, tuple(columns), tuple(rows)), y
 
 
@@ -214,24 +214,6 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
                 "normal system is singular at lambda = 0; drop columns or penalize"
             )
     return np.linalg.solve(system, X.T @ y)
-
-
-def regression_metrics(
-    y_true: np.ndarray, y_pred: np.ndarray
-) -> tuple[float, float, float]:
-    """(MAE, MSE, R^2); R^2 is NaN when the targets have zero variance."""
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    if y_true.shape != y_pred.shape or y_true.size < 2:
-        raise ValueError("need two equal-length vectors of size >= 2")
-    err = y_pred - y_true
-    mae = float(np.mean(np.abs(err)))
-    mse = float(np.mean(err**2))
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
-    if ss_tot == 0.0:
-        return mae, mse, math.nan
-    r2 = 1.0 - float(np.sum(err**2)) / ss_tot
-    return mae, mse, r2
 
 
 @dataclass(frozen=True)
@@ -312,7 +294,7 @@ class RegressionReport:
 def regression_report(
     covariates: CovariateTable,
     table_t0: ScoreTable,
-    targets: TargetTable,
+    targets: ScoreTable,
     trace: IterationTrace,
     config: PipelineConfig,
 ) -> RegressionReport:

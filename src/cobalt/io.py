@@ -8,6 +8,7 @@ also be exported to attributed GraphML.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -26,7 +27,6 @@ from .model import (
     NodeRef,
     Partition,
     ScoreTable,
-    TargetTable,
     vertex_order,
 )
 from .selector import IterationRecord, IterationTrace, LayerCostBreakdown
@@ -45,125 +45,106 @@ def _float_repr(value: float) -> str:
 
 
 def read_score_table(source: str | Path | TextIO) -> ScoreTable:
-    rows = _read_csv(source)
-    if not rows:
-        raise InputFormatError("score file is empty")
-    header = rows[0]
-    if not header or header[0] != "entity":
-        raise InputFormatError(
-            f"score header must start with 'entity', got {header[:1] or ['<nothing>']}"
-        )
-    layers = tuple(header[1:])
-    for pos, layer in enumerate(layers, start=2):
-        if not layer:
-            raise InputFormatError(f"empty layer name in header column {pos}")
-    if len(set(layers)) != len(layers):
-        dupe = sorted({l for l in layers if layers.count(l) > 1})
-        raise InputFormatError(f"duplicate layer columns: {dupe}")
-
-    entities: list[str] = []
-    scores: dict[tuple[str, str], float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise InputFormatError(
-                f"line {lineno}: expected {len(header)} cells, got {len(row)}"
-            )
-        entity = row[0]
-        entities.append(entity)
-        for layer, cell in zip(layers, row[1:]):
-            if cell == "":
-                continue
-            try:
-                scores[(entity, layer)] = float(cell)
-            except ValueError as exc:
-                raise InputFormatError(
-                    f"line {lineno}, column {layer!r}: not a number: {cell!r}"
-                ) from exc
-    return ScoreTable(tuple(entities), layers, scores)
+    header, rows = _read_csv(source, "score")
+    return _score_table(header, rows, tuple(header[1:]))
 
 
-def read_covariates(source: str | Path | TextIO) -> CovariateTable:
-    rows = _read_csv(source)
-    if not rows or rows[0] != ["entity", "age", "gender"]:
-        raise InputFormatError("covariates header must be 'entity,age,gender'")
-    entities: list[str] = []
-    age: dict[str, float] = {}
-    gender: dict[str, str] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise InputFormatError(f"line {lineno}: expected 3 cells, got {len(row)}")
-        entity, age_cell, gender_cell = row
-        entities.append(entity)
-        if age_cell != "":
-            try:
-                value = float(age_cell)
-            except ValueError as exc:
-                raise InputFormatError(
-                    f"line {lineno}, column 'age': not a number: {age_cell!r}"
-                ) from exc
-            if not math.isfinite(value):
-                raise InputFormatError(
-                    f"line {lineno}, column 'age': not finite: {age_cell!r}"
-                )
-            age[entity] = value
-        if gender_cell != "":
-            gender[entity] = gender_cell
-    return CovariateTable(tuple(entities), age, gender)
-
-
-def read_targets(source: str | Path | TextIO) -> TargetTable:
-    rows = _read_csv(source)
-    if not rows:
-        raise InputFormatError("targets file is empty")
-    header = rows[0]
-    if not header or header[0] != "entity":
-        raise InputFormatError("targets header must start with 'entity'")
-    layers: list[str] = []
+def read_targets(source: str | Path | TextIO) -> ScoreTable:
+    """Post-treatment scores; column ``<layer>_t1`` becomes layer ``<layer>``."""
+    header, rows = _read_csv(source, "targets")
     for pos, name in enumerate(header[1:], start=2):
         if not name.endswith("_t1") or name == "_t1":
             raise InputFormatError(
                 f"targets column {pos} must be named '<layer>_t1', got {name!r}"
             )
-        layers.append(name[: -len("_t1")])
+    return _score_table(header, rows, tuple(name[: -len("_t1")] for name in header[1:]))
 
-    entities: list[str] = []
-    values: dict[tuple[str, str], float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
+
+def read_covariates(source: str | Path | TextIO) -> CovariateTable:
+    header, rows = _read_csv(source, "covariates")
+    if header != ["entity", "age", "gender"]:
+        raise InputFormatError("covariates header must be 'entity,age,gender'")
+    ages = ((entity, _number(cell, lineno, "age")) for lineno, (entity, cell, _) in rows)
+    return CovariateTable(
+        tuple(row[0] for _, row in rows),
+        {entity: age for entity, age in ages if age is not None},
+        {entity: gender for _, (entity, _, gender) in rows if gender != ""},
+    )
+
+
+def _score_table(
+    header: list[str], rows: list[tuple[int, list[str]]], layers: tuple[str, ...]
+) -> ScoreTable:
+    """Table of the numeric cells of ``rows``: column ``header[k + 1]`` is ``layers[k]``."""
+    scores: dict[tuple[str, str], float] = {}
+    for lineno, (entity, *cells) in rows:
+        for layer, column, cell in zip(layers, header[1:], cells):
+            value = _number(cell, lineno, column)
+            if value is not None:
+                scores[(entity, layer)] = value
+    return ScoreTable(tuple(row[0] for _, row in rows), layers, scores)
+
+
+def _number(cell: str, lineno: int, column: str) -> float | None:
+    """The finite value of a numeric cell; ``None`` for an empty (missing) one."""
+    if cell == "":
+        return None
+    where = f"line {lineno}, column {column!r}"
+    try:
+        value = float(cell)
+    except ValueError:
+        raise InputFormatError(f"{where}: not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise InputFormatError(f"{where}: not finite: {cell!r}")
+    return value
+
+
+def _read_csv(
+    source: str | Path | TextIO, what: str
+) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and non-blank rows, each with its line number, of a CSV whose
+    first column is ``entity``.
+
+    The header names every column once; every row has the header's width
+    and names a new entity. A path is read as UTF-8 with an optional
+    byte-order mark, as spreadsheets export it.
+    """
+    with _open_read(source) as fh:
+        reader = csv.reader(fh)
+        try:
+            lines = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise InputFormatError(f"line {reader.line_num}: {exc}") from exc
+    if not lines:
+        raise InputFormatError(f"{what} file is empty")
+    (_, header), rows = lines[0], lines[1:]
+    if header[0] != "entity":
+        raise InputFormatError(
+            f"{what} header must start with 'entity', got {header[:1]}"
+        )
+    if len(set(header)) != len(header):
+        dupe = sorted({name for name in header if header.count(name) > 1})
+        raise InputFormatError(f"duplicate layer columns: {dupe}")
+    seen: set[str] = set()
+    for lineno, row in rows:
         if len(row) != len(header):
             raise InputFormatError(
                 f"line {lineno}: expected {len(header)} cells, got {len(row)}"
             )
-        entity = row[0]
-        entities.append(entity)
-        for layer, cell in zip(layers, row[1:]):
-            if cell == "":
-                continue
-            try:
-                values[(entity, layer)] = float(cell)
-            except ValueError as exc:
-                raise InputFormatError(
-                    f"line {lineno}, column {layer!r}_t1: not a number: {cell!r}"
-                ) from exc
-    return TargetTable(tuple(entities), tuple(layers), values)
+        if row[0] in seen:
+            raise InputFormatError(f"line {lineno}: duplicate entity {row[0]!r}")
+        seen.add(row[0])
+    return header, rows
 
 
-def _read_csv(source: str | Path | TextIO) -> list[list[str]]:
+def _open_read(source: str | Path | TextIO):
     if hasattr(source, "read"):
-        return [row for row in csv.reader(source)]
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        return [row for row in csv.reader(fh)]
+        return contextlib.nullcontext(source)
+    return open(source, "r", encoding="utf-8-sig", newline="")
 
 
 def _open_write(target: str | Path | TextIO):
     if hasattr(target, "write"):
-        import contextlib
-
         return contextlib.nullcontext(target)
     return open(target, "w", encoding="utf-8", newline="")
 

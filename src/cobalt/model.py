@@ -10,7 +10,7 @@ types are immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -41,15 +41,14 @@ class ScoreTable:
     """Entities x layers score matrix with explicit missingness.
 
     ``scores`` maps (entity, layer) to a finite value and contains only the
-    cells that are present. ``ranges`` optionally declares the valid [lo, hi]
-    interval per layer. Entity and layer iteration order is the input order
-    and is kept fixed for determinism.
+    cells that are present. Entity and layer iteration order is the input
+    order and is kept fixed for determinism. Post-treatment targets use the
+    same type, keyed by the layer they follow up.
     """
 
     entities: tuple[str, ...]
     layers: tuple[str, ...]
     scores: Mapping[tuple[str, str], float]
-    ranges: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
     def has(self, entity: str, layer: str) -> bool:
         return (entity, layer) in self.scores
@@ -71,7 +70,7 @@ class ScoreTable:
         scores = {
             (e, l): v for (e, l), v in self.scores.items() if e in kept
         }
-        return ScoreTable(entities, self.layers, scores, dict(self.ranges))
+        return ScoreTable(entities, self.layers, scores)
 
 
 @dataclass(frozen=True)
@@ -81,15 +80,6 @@ class CovariateTable:
     entities: tuple[str, ...]
     age: Mapping[str, float]
     gender: Mapping[str, str]
-
-
-@dataclass(frozen=True)
-class TargetTable:
-    """Post-treatment scores per (entity, layer); cells may be absent."""
-
-    entities: tuple[str, ...]
-    layers: tuple[str, ...]
-    values: Mapping[tuple[str, str], float]
 
 
 class EdgeArrays(NamedTuple):
@@ -257,12 +247,6 @@ def validate_score_table(table: ScoreTable) -> list[str]:
             violations.append(f"{cell} references unknown layer")
         if not math.isfinite(value):
             violations.append(f"{cell} is not finite: {value}")
-            continue
-        bounds = table.ranges.get(layer)
-        if bounds is not None and not (bounds[0] <= value <= bounds[1]):
-            violations.append(
-                f"{cell} value {value} outside declared range [{bounds[0]}, {bounds[1]}]"
-            )
 
     for entity in table.entities:
         if entity and not any((entity, l) in table.scores for l in table.layers):

@@ -31,7 +31,7 @@ def table_of(columns: dict[str, list[float | None]]) -> ScoreTable:
 def reference_network(table: ScoreTable, layers):
     """Nodes and weight maps built loop by loop from the definition, with
     scalar :func:`edge_weight` calls."""
-    z = {layer: normalize_layer(table, layer).values for layer in layers}
+    z = {layer: normalize_layer(table, layer) for layer in layers}
     nodes = {NodeRef(e, layer) for layer in layers for e in z[layer]}
     intra = {}
     for layer in layers:
@@ -52,9 +52,9 @@ class TestNormalizeLayer:
         # population sigma of [1,2,3] is sqrt(2/3)
         norm = normalize_layer(table_of({"A": [1.0, 2.0, 3.0]}), "A")
         expected = math.sqrt(3.0 / 2.0)
-        assert norm.values["e0"] == pytest.approx(-expected, abs=1e-12)
-        assert norm.values["e1"] == pytest.approx(0.0, abs=1e-12)
-        assert norm.values["e2"] == pytest.approx(expected, abs=1e-12)
+        assert norm["e0"] == pytest.approx(-expected, abs=1e-12)
+        assert norm["e1"] == pytest.approx(0.0, abs=1e-12)
+        assert norm["e2"] == pytest.approx(expected, abs=1e-12)
 
     def test_constant_column_degenerate(self):
         with pytest.raises(DegenerateLayerError):
@@ -66,12 +66,12 @@ class TestNormalizeLayer:
 
     def test_symmetric_pair(self):
         norm = normalize_layer(table_of({"A": [-4.0, 4.0]}), "A")
-        assert norm.values["e0"] == pytest.approx(-1.0)
-        assert norm.values["e1"] == pytest.approx(1.0)
+        assert norm["e0"] == pytest.approx(-1.0)
+        assert norm["e1"] == pytest.approx(1.0)
 
     def test_moments_of_output(self):
         norm = normalize_layer(table_of({"A": [3.0, 9.5, -2.0, 7.25, 0.5]}), "A")
-        values = list(norm.values.values())
+        values = list(norm.values())
         mean = sum(values) / len(values)
         var = sum((v - mean) ** 2 for v in values) / len(values)
         assert mean == pytest.approx(0.0, abs=1e-9)
@@ -79,7 +79,7 @@ class TestNormalizeLayer:
 
     def test_skips_missing_cells(self):
         norm = normalize_layer(table_of({"A": [1.0, None, 3.0]}), "A")
-        assert set(norm.values) == {"e0", "e2"}
+        assert set(norm) == {"e0", "e2"}
 
 
 class TestEdgeWeights:
@@ -141,7 +141,7 @@ class TestBuildLayerGraph:
         norm = normalize_layer(table, "A")
         graph = build_network(table, ["A"])
         a, b = NodeRef("e0", "A"), NodeRef("e1", "A")
-        expected = 1.0 / abs(norm.values["e0"] - norm.values["e1"])
+        expected = 1.0 / abs(norm["e0"] - norm["e1"])
         assert graph.intra_edges[(a, b)] == pytest.approx(expected)
 
 

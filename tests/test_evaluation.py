@@ -12,10 +12,9 @@ from cobalt.evaluation import (
     fit_ridge,
     inject_missingness,
     missingness_sweep,
-    regression_metrics,
     regression_report,
 )
-from cobalt.model import CovariateTable, ScoreTable, TargetTable
+from cobalt.model import CovariateTable, ScoreTable
 from cobalt.pipeline import run_selection
 
 from _support import halves_and_parity_table, least_squares_oracle, planted_table
@@ -114,7 +113,7 @@ def tiny_population(n=30, seed=3):
         {e: float(rng.uniform(20, 80)) for e in entities},
         {e: ("m" if rng.random() < 0.5 else "f") for e in entities},
     )
-    targets = TargetTable(
+    targets = ScoreTable(
         entities, ("A",),
         {(e, "A"): t0.scores[(e, "A")] * 0.8 + float(rng.normal(0, 2)) for e in entities},
     )
@@ -142,9 +141,9 @@ class TestBuildDesignMatrix:
 
     def test_entities_missing_target_excluded(self):
         t0, cov, targets = tiny_population()
-        values = dict(targets.values)
+        values = dict(targets.scores)
         del values[("e0", "A")]
-        targets = TargetTable(targets.entities, targets.layers, values)
+        targets = ScoreTable(targets.entities, targets.layers, values)
         design, _ = build_design_matrix(cov, t0, targets, "A", None)
         assert "e0" not in design.entities
         assert len(design.entities) == 29
@@ -199,37 +198,6 @@ class TestFitRidge:
             assert fit_ridge(X, y, lam)[0] == pytest.approx(float(y.mean()))
 
 
-class TestRegressionMetrics:
-    def test_perfect_prediction(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert regression_metrics(y, y) == (0.0, 0.0, 1.0)
-
-    def test_mean_predictor_scores_zero(self):
-        y = np.array([1.0, 2.0, 3.0, 6.0])
-        pred = np.full(4, y.mean())
-        mae, mse, r2 = regression_metrics(y, pred)
-        assert r2 == pytest.approx(0.0)
-
-    def test_worked_small_case(self):
-        mae, mse, r2 = regression_metrics(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
-        assert (mae, mse, r2) == (1.0, 1.0, 0.0)
-
-    def test_zero_variance_undefined_r2(self):
-        mae, mse, r2 = regression_metrics(np.array([2.0, 2.0]), np.array([1.0, 3.0]))
-        assert math.isnan(r2)
-        assert mae == 1.0
-
-    def test_metric_bounds_on_random_pairs(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            y = rng.normal(size=10)
-            pred = rng.normal(size=10)
-            mae, mse, r2 = regression_metrics(y, pred)
-            assert mae >= 0.0
-            assert mse >= 0.0
-            assert r2 <= 1.0
-
-
 class TestCrossValidate:
     def test_near_perfect_linear_data(self):
         rng = np.random.default_rng(2)
@@ -280,7 +248,7 @@ class TestRegressionReport:
             {e: float(rng.uniform(20, 70)) for e in entities},
             {e: ("m" if i % 2 else "f") for i, e in enumerate(entities)},
         )
-        targets = TargetTable(
+        targets = ScoreTable(
             entities, ("A",),
             {(e, "A"): table.scores[(e, "A")] + float(rng.normal(0, 1)) for e in entities},
         )
@@ -298,7 +266,7 @@ class TestRegressionReport:
         config = PipelineConfig()
         trace = run_selection(table, config)
         covariates = CovariateTable(tuple(), {}, {})
-        targets = TargetTable(table.entities, ("A",), {})
+        targets = ScoreTable(table.entities, ("A",), {})
         report = regression_report(covariates, table, targets, trace, config)
         assert report.rows == ()
         assert report.metadata["skipped"]

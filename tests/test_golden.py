@@ -167,7 +167,7 @@ def test_cli_artifacts_match_golden(case, tmp_path, capsys):
 
 def test_near_tie_case_has_one_near_tie_pair():
     table = read_score_table(GOLDEN / "near_tie" / "scores.csv")
-    z = sorted(normalize_layer(table, "A").values.values())
+    z = sorted(normalize_layer(table, "A").values())
     gaps = [b - a for a, b in zip(z, z[1:])]
     assert sum(g < 1e-7 for g in gaps) == 1
     assert 0.0 < min(gaps)

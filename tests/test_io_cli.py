@@ -1,9 +1,12 @@
 import io
 import json
+import math
 import re
+import shutil
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cobalt import cli
 from cobalt import io as cio
@@ -69,11 +72,78 @@ class TestCovariatesAndTargets:
             io.StringIO("entity,A_t1,B_t1\ne1,5.5,\ne2,,6.5\n")
         )
         assert targets.layers == ("A", "B")
-        assert targets.values == {("e1", "A"): 5.5, ("e2", "B"): 6.5}
+        assert targets.scores == {("e1", "A"): 5.5, ("e2", "B"): 6.5}
 
     def test_target_column_suffix_required(self):
         with pytest.raises(cio.InputFormatError, match="_t1"):
             cio.read_targets(io.StringIO("entity,A\ne1,5\n"))
+
+    def test_repeated_target_column_rejected(self):
+        with pytest.raises(cio.InputFormatError, match=r"duplicate layer columns: \['A_t1'\]"):
+            cio.read_targets(io.StringIO("entity,A_t1,A_t1\ne1,5,6\n"))
+
+
+# rows that may break each shared reader rule: ragged rows, repeated
+# entities, non-numeric and non-finite cells; blank lines come before a row
+csv_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["e1", "e2", "e3", "e4"]),
+        st.lists(
+            st.sampled_from(["", "nan", "inf", "-inf", "1e999", "abc"])
+            | st.integers(-99, 99).map(str)
+            | st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            min_size=1,
+            max_size=3,
+        ),
+        st.booleans(),
+    ),
+    max_size=5,
+)
+
+READERS = {
+    "scores": (cio.read_score_table, "entity,A,B", 2),
+    "targets": (cio.read_targets, "entity,A_t1,B_t1", 2),
+    "covariates": (cio.read_covariates, "entity,age,gender", 1),
+}
+
+
+def _finite_or_empty(cell: str) -> bool:
+    try:
+        return cell == "" or math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+class TestCsvRules:
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rows=csv_rows, bom=st.booleans())
+    def test_clean_table_or_input_error(self, kind, rows, bom, tmp_path):
+        """Each reader returns unique entities and finite values, or raises
+        InputFormatError exactly when some row breaks a rule."""
+        read, header, numeric = READERS[kind]
+        lines = [header]
+        for entity, cells, blank_before in rows:
+            lines += [""] * blank_before + [",".join([entity, *cells])]
+        path = tmp_path / "in.csv"
+        path.write_text("\ufeff" * bom + "\n".join(lines) + "\n", encoding="utf-8")
+        entities = [entity for entity, _, _ in rows]
+        broken = len(set(entities)) < len(entities) or any(
+            len(cells) != 2 or not all(map(_finite_or_empty, cells[:numeric]))
+            for _, cells, _ in rows
+        )
+        if broken:
+            with pytest.raises(cio.InputFormatError):
+                read(path)
+            return
+        table = read(path)
+        assert table.entities == tuple(entities)
+        values = table.age.values() if kind == "covariates" else table.scores.values()
+        assert all(math.isfinite(v) for v in values)
 
 
 def sample_network() -> MultiLayerNetwork:
@@ -345,6 +415,18 @@ class TestCliSweep:
         assert payload["reference"]["ratio"] == 0.0
         assert [e["ratio"] for e in payload["ratios"]] == [0.5]
 
+    def test_out_dir_that_is_a_file_exits_before_the_sweep(
+        self, score_csv, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "missingness_sweep", never)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main(["sweep", score_csv, "--out-dir", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_incomplete_table_exits_two(self, tmp_path, capsys):
         incomplete = tmp_path / "inc.csv"
         incomplete.write_text("entity,A,B\ne1,1,\ne2,2,3\ne3,3,4\n")
@@ -383,6 +465,77 @@ class TestCliEvaluate:
         err = capsys.readouterr().err
         assert "no targets for layer 'B'" in err
         assert "no targets for layer 'C'" in err
+
+
+PLANTED = Path(__file__).parent / "golden" / "planted"
+
+
+def planted_copy(tmp_path: Path, name: str, edit) -> list[str]:
+    """``evaluate`` arguments on a copy of the golden planted inputs, the
+    lines of file ``name`` passed through ``edit``."""
+    for file in ("scores.csv", "covariates.csv", "targets.csv"):
+        shutil.copy(PLANTED / file, tmp_path / file)
+    lines = (tmp_path / name).read_text().splitlines()
+    (tmp_path / name).write_text("\n".join(edit(lines)) + "\n")
+    return [
+        "evaluate",
+        *(str(tmp_path / f) for f in ("scores.csv", "covariates.csv", "targets.csv")),
+        "--trace",
+        str(PLANTED / "expected" / "select" / "trace.json"),
+        "--out-dir",
+        str(tmp_path / "out"),
+    ]
+
+
+def set_cell(line: int, column: int, cell: str):
+    def edit(lines: list[str]) -> list[str]:
+        row = lines[line - 1].split(",")
+        row[column] = cell
+        lines[line - 1] = ",".join(row)
+        return lines
+
+    return edit
+
+
+class TestCliInputRules:
+    @pytest.mark.parametrize("name", ["scores.csv", "targets.csv", "covariates.csv"])
+    def test_repeated_entity_exits_two(self, name, tmp_path, capsys):
+        argv = planted_copy(tmp_path, name, lambda lines: lines + lines[1:2])
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: line 38: duplicate entity 'e00'\n"
+
+    @pytest.mark.parametrize(
+        "name, column, cell, message",
+        [
+            ("scores.csv", 2, "9" * 131_073, "line 5: field larger than field limit"),
+            ("targets.csv", 2, "nan", "line 5, column 'B_t1': not finite: 'nan'"),
+            ("targets.csv", 3, "inf", "line 5, column 'C_t1': not finite: 'inf'"),
+            ("scores.csv", 1, "nan", "line 5, column 'A': not finite: 'nan'"),
+            ("covariates.csv", 1, "1e999", "line 5, column 'age': not finite: '1e999'"),
+        ],
+        ids=["long_cell", "nan_target", "inf_target", "nan_score", "huge_age"],
+    )
+    def test_bad_cell_exits_two_naming_it(self, name, column, cell, message, tmp_path, capsys):
+        argv = planted_copy(tmp_path, name, set_cell(5, column, cell))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_byte_order_mark_builds_the_golden_network(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"\xef\xbb\xbf" + (PLANTED / "scores.csv").read_bytes())
+        config = str(PLANTED / "config.json")
+        out = tmp_path / "out"
+        assert cli.main(["build", str(scores), "--config", config, "--out-dir", str(out)]) == 0
+        expected = PLANTED / "expected" / "build" / "network.json"
+        assert (out / "network.json").read_bytes() == expected.read_bytes()
+
+    def test_zero_lambda_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"regression": {"lambda_grid": [0.0, 1.0]}}))
+        argv = planted_copy(tmp_path, "scores.csv", lambda lines: lines)
+        assert cli.main(argv + ["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda values must be positive")
 
 
 class TestCliMalformedArtifacts:

@@ -19,25 +19,14 @@ from cobalt.model import (
 from _support import co_membership, network_of
 
 
-def make_table(cells, entities=("e1", "e2", "e3"), layers=("A", "B"), ranges=None):
-    return ScoreTable(tuple(entities), tuple(layers), dict(cells), ranges or {})
+def make_table(cells, entities=("e1", "e2", "e3"), layers=("A", "B")):
+    return ScoreTable(tuple(entities), tuple(layers), dict(cells))
 
 
 class TestValidateScoreTable:
     def test_valid_table_has_no_violations(self):
-        table = make_table(
-            {(e, l): 1.0 for e in ("e1", "e2", "e3") for l in ("A", "B")},
-            ranges={"A": (0.0, 100.0)},
-        )
+        table = make_table({(e, l): 1.0 for e in ("e1", "e2", "e3") for l in ("A", "B")})
         assert validate_score_table(table) == []
-
-    def test_score_above_declared_range(self):
-        cells = {(e, l): 50.0 for e in ("e1", "e2", "e3") for l in ("A", "B")}
-        cells[("e2", "A")] = 101.0
-        table = make_table(cells, ranges={"A": (0.0, 100.0)})
-        violations = validate_score_table(table)
-        assert len(violations) == 1
-        assert "e2" in violations[0] and "101" in violations[0]
 
     def test_duplicate_entity_id(self):
         table = make_table(
