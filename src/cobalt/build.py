@@ -10,6 +10,7 @@ is clamped below at ``EPSILON``.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable
 
 import numpy as np
@@ -31,7 +32,8 @@ def normalize_layer(table: ScoreTable, layer: str) -> dict[str, float]:
     deviation), by entity.
 
     Raises :class:`InsufficientDataError` for fewer than two present scores
-    and :class:`DegenerateLayerError` for a constant column.
+    and :class:`DegenerateLayerError` for a constant column or one whose
+    mean, standard deviation or z-scores overflow to a non-finite value.
     """
     entities, raw = table.layer_values(layer)
     if len(raw) < 2:
@@ -39,11 +41,18 @@ def normalize_layer(table: ScoreTable, layer: str) -> dict[str, float]:
             f"layer {layer!r} has {len(raw)} present scores, needs at least 2"
         )
     arr = np.asarray(raw, dtype=float)
-    mean = float(arr.mean())
-    std = float(arr.std())
-    if std <= 0.0:
+    # finite scores near the float limit can overflow the mean, the std or a
+    # z-score; that is an error below, not a warning here
+    with np.errstate(all="ignore"):
+        mean = float(arr.mean())
+        std = float(arr.std())
+        z = (arr - mean) / std
+    if std == 0.0:
         raise DegenerateLayerError(f"layer {layer!r} is constant (std = 0)")
-    z = (arr - mean) / std
+    if not (math.isfinite(mean) and math.isfinite(std) and np.isfinite(z).all()):
+        raise DegenerateLayerError(
+            f"layer {layer!r} has no finite z-scores (mean = {mean}, std = {std})"
+        )
     return dict(zip(entities, z.tolist()))
 
 
@@ -65,10 +74,7 @@ def build_network(
     if not chosen:
         raise ValueError("need at least one layer")
     norms = {layer: normalize_layer(table, layer) for layer in chosen}
-
-    # vertex ids in the network's order: by layer, then entity name
-    vertices = [NodeRef(e, layer) for layer in chosen for e in sorted(norms[layer])]
-    z = np.array([norms[v.layer][v.entity] for v in vertices])
+    vertices, z, inter = _layout(chosen, norms)
     # a layer's vertices are a block of sorted entities, so every i < j
     # pair within a block is a canonical edge key
     sizes = [len(norms[layer]) for layer in chosen]
@@ -76,19 +82,25 @@ def build_network(
     a, b = np.concatenate(
         [np.array(np.triu_indices(n, k=1)) + s for n, s in zip(sizes, starts)], axis=1
     )
+    intra = EdgeArrays(a, b, edge_weight(z[a], z[b]))
+    return MultiLayerNetwork(chosen, vertices, intra, inter)
 
+
+def _layout(
+    layers: tuple[str, ...], norms: dict[str, dict[str, float]]
+) -> tuple[list[NodeRef], np.ndarray, EdgeArrays]:
+    """Vertices of the network over ``layers``, their z-scores by vertex id,
+    and its coupling edges; ``norms`` are the layers' z-scores by entity."""
+    # vertex ids in the network's order: by layer, then entity name
+    vertices = [NodeRef(e, layer) for layer in layers for e in sorted(norms[layer])]
+    z = np.array([norms[v.layer][v.entity] for v in vertices])
     # a coupling's key puts the copy in the layer whose name sorts first
     index = {v: i for i, v in enumerate(vertices)}
     coupled = [
         (index[e, lo], index[e, hi])
-        for lo, hi in itertools.combinations(sorted(chosen), 2)
+        for lo, hi in itertools.combinations(sorted(layers), 2)
         for e in norms[lo]
         if (e, hi) in index
     ]
     c, d = np.array(coupled, dtype=np.int64).reshape(-1, 2).T
-    return MultiLayerNetwork(
-        chosen,
-        vertices,
-        EdgeArrays(a, b, edge_weight(z[a], z[b])),
-        EdgeArrays(c, d, edge_weight(z[c], z[d])),
-    )
+    return vertices, z, EdgeArrays(c, d, edge_weight(z[c], z[d]))

@@ -417,8 +417,7 @@ def _refine(
         else:
             logits = gains / theta
             odds = np.exp(logits - logits.max())
-            probs = odds / odds.sum()
-            chosen = int(candidates[int(rng.choice(len(candidates), p=probs))])
+            chosen = int(candidates[_draw(odds / odds.sum(), rng)])
 
         ref_size[own] = 0
         for layer, k in terms:
@@ -426,6 +425,14 @@ def _refine(
         ref_size[chosen] += 1
         refined[v] = chosen
     return refined
+
+
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probabilities ``probs``: the index and the generator
+    state of ``rng.choice(len(probs), p=probs)``, without its argument checks."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _merge_rows(

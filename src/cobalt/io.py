@@ -106,8 +106,8 @@ def _read_csv(
     first column is ``entity``.
 
     The header names every column once; every row has the header's width
-    and names a new entity. A path is read as UTF-8 with an optional
-    byte-order mark, as spreadsheets export it.
+    and names a new, non-empty entity. A path is read as UTF-8 with an
+    optional byte-order mark, as spreadsheets export it.
     """
     with _open_read(source) as fh:
         reader = csv.reader(fh)
@@ -131,6 +131,8 @@ def _read_csv(
             raise InputFormatError(
                 f"line {lineno}: expected {len(header)} cells, got {len(row)}"
             )
+        if not row[0]:
+            raise InputFormatError(f"line {lineno}: empty entity")
         if row[0] in seen:
             raise InputFormatError(f"line {lineno}: duplicate entity {row[0]!r}")
         seen.add(row[0])

@@ -71,19 +71,27 @@ def edge_p_value(count, k_i, k_j, total):
     return betainc(count, total - count + 1.0, p)
 
 
+def _endpoint_strengths(
+    a: np.ndarray, b: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantized strengths of each edge's two endpoints, summed exactly as
+    int64 before conversion to float."""
+    degrees = np.zeros(max(a.max(), b.max()) + 1, dtype=np.int64)
+    np.add.at(degrees, a, counts)
+    np.add.at(degrees, b, counts)
+    k = degrees.astype(np.float64)
+    return k[a], k[b]
+
+
 def _significant(edges: EdgeArrays, alpha: float, scale: float) -> np.ndarray:
-    """Mask of the edges of one universe whose p-value is at most ``alpha``.
-    Strengths are exact int64 sums of the counts."""
+    """Mask of the edges of one universe whose p-value is at most ``alpha``."""
     live, counts, total = _quantize(edges.w, scale)
     keep = np.zeros(len(live), dtype=bool)
     if total:
-        a, b = edges.a[live], edges.b[live]
-        degrees = np.zeros(max(a.max(), b.max()) + 1, dtype=np.int64)
-        np.add.at(degrees, a, counts)
-        np.add.at(degrees, b, counts)
-        k = degrees.astype(np.float64)
-        p_values = edge_p_value(counts.astype(np.float64), k[a], k[b], float(total))
-        keep[live] = p_values <= alpha
+        k_a, k_b = _endpoint_strengths(edges.a[live], edges.b[live], counts)
+        # rebound, so the int64 counts are freed before the p-values are made
+        counts = counts.astype(np.float64)
+        keep[live] = edge_p_value(counts, k_a, k_b, float(total)) <= alpha
     return keep
 
 
@@ -104,14 +112,14 @@ def prune_network(
         raise ValueError(f"quantization scale must be positive, got {scale}")
     kept = []
     for edges in (mln.intra, mln.inter):
-        la, lb = mln.layer_of[edges.a], mln.layer_of[edges.b]
-        # one universe per set of endpoint layers
-        universe = np.minimum(la, lb) * len(mln.layers) + np.maximum(la, lb)
+        # one universe per set of endpoint layers: canonical order always puts
+        # the same layer of a pair first, so the ordered pair names the set
+        universe = mln.layer_of[edges.a] * len(mln.layers) + mln.layer_of[edges.b]
         keep = np.zeros(len(universe), dtype=bool)
-        for u in np.unique(universe).tolist():
-            members = np.flatnonzero(universe == u)
-            keep[members] = _significant(
-                EdgeArrays(*(x[members] for x in edges)), alpha, scale
-            )
+        for u in np.flatnonzero(np.bincount(universe)).tolist():
+            inside = universe == u
+            # a universe holding every edge is passed whole, not copied
+            part = edges if inside.all() else EdgeArrays(*(x[inside] for x in edges))
+            keep[inside] = _significant(part, alpha, scale)
         kept.append(EdgeArrays(*(x[keep] for x in edges)))
     return MultiLayerNetwork(mln.layers, mln.nodes, *kept)

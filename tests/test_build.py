@@ -60,6 +60,19 @@ class TestNormalizeLayer:
         with pytest.raises(DegenerateLayerError):
             normalize_layer(table_of({"A": [5.0, 5.0, 5.0]}), "A")
 
+    @pytest.mark.parametrize(
+        "values",
+        [[1e308, 1e308, -1e308, 5.0], [1e200, -1e200]],
+        ids=["mean_overflows", "std_overflows"],
+    )
+    def test_overflowing_scores_degenerate(self, values):
+        # the second case has a finite mean and finite (zero) quotients, but
+        # an infinite standard deviation; errstate "raise" turns any numpy
+        # warning the function lets out into an error
+        with np.errstate(all="raise"):
+            with pytest.raises(DegenerateLayerError, match="layer 'A' has no finite z-scores"):
+                normalize_layer(table_of({"A": values}), "A")
+
     def test_single_present_score_insufficient(self):
         with pytest.raises(InsufficientDataError):
             normalize_layer(table_of({"A": [1.0, None, None]}), "A")

@@ -463,3 +463,20 @@ class TestNetworkxOracles:
         assert len(net.nodes) == 60
         result = leiden(SupraGraph(net), LeidenConfig(seed=0))
         assert result.quality >= louvain_q - 1e-12
+
+
+class TestDraw:
+    @given(
+        st.integers(0, 2**63 - 1),
+        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_generator_choice(self, seed, logits):
+        """The refinement draw returns the index rng.choice returns for the
+        same probabilities, and leaves the generator in the same state."""
+        logits = np.array(logits)
+        odds = np.exp(logits - logits.max())
+        probs = odds / odds.sum()
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert community._draw(probs, ours) == int(reference.choice(len(probs), p=probs))
+        assert ours.random() == reference.random()

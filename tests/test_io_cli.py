@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -83,11 +84,12 @@ class TestCovariatesAndTargets:
             cio.read_targets(io.StringIO("entity,A_t1,A_t1\ne1,5,6\n"))
 
 
-# rows that may break each shared reader rule: ragged rows, repeated
-# entities, non-numeric and non-finite cells; blank lines come before a row
+# rows that may break each shared reader rule: ragged rows, repeated or
+# empty entities, non-numeric and non-finite cells; blank lines come before
+# a row
 csv_rows = st.lists(
     st.tuples(
-        st.sampled_from(["e1", "e2", "e3", "e4"]),
+        st.sampled_from(["e1", "e2", "e3", "e4", ""]),
         st.lists(
             st.sampled_from(["", "nan", "inf", "-inf", "1e999", "abc"])
             | st.integers(-99, 99).map(str)
@@ -132,7 +134,7 @@ class TestCsvRules:
         path = tmp_path / "in.csv"
         path.write_text("\ufeff" * bom + "\n".join(lines) + "\n", encoding="utf-8")
         entities = [entity for entity, _, _ in rows]
-        broken = len(set(entities)) < len(entities) or any(
+        broken = len(set(entities)) < len(entities) or "" in entities or any(
             len(cells) != 2 or not all(map(_finite_or_empty, cells[:numeric]))
             for _, cells, _ in rows
         )
@@ -144,6 +146,12 @@ class TestCsvRules:
         assert table.entities == tuple(entities)
         values = table.age.values() if kind == "covariates" else table.scores.values()
         assert all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_empty_entity_named(self, kind):
+        read, header, _ = READERS[kind]
+        with pytest.raises(cio.InputFormatError, match="^line 2: empty entity$"):
+            read(io.StringIO(f"{header}\n,5,6\ne2,6,7\n"))
 
 
 def sample_network() -> MultiLayerNetwork:
@@ -503,6 +511,22 @@ class TestCliInputRules:
         argv = planted_copy(tmp_path, name, lambda lines: lines + lines[1:2])
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: line 38: duplicate entity 'e00'\n"
+
+    @pytest.mark.parametrize("name", ["scores.csv", "targets.csv", "covariates.csv"])
+    def test_empty_entity_exits_two(self, name, tmp_path, capsys):
+        argv = planted_copy(tmp_path, name, set_cell(5, 0, ""))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: line 5: empty entity\n"
+
+    def test_overflowing_layer_exits_two_without_warnings(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("entity,A,B\ne1,1e308,1\ne2,1e308,2\ne3,-1e308,3\ne4,5,4\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["build", str(scores), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert caught == []
+        assert capsys.readouterr().err.startswith("error: layer 'A' has no finite z-scores")
 
     @pytest.mark.parametrize(
         "name, column, cell, message",

@@ -1,5 +1,6 @@
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cobalt import cli
 from cobalt.build import build_network
+from cobalt.config import PipelineConfig, PruningConfig
 from cobalt.model import NodeRef, ScoreTable
+from cobalt.pipeline import build_pruned_network
 from cobalt.pruning import edge_p_value, prune_network, quantize_weights
 
 from _support import (
@@ -290,8 +293,54 @@ class TestMatchesReferenceFilter:
                 e: w.hex() for e, w in want.items()
             }
 
+    # PruningConfig takes alpha in (0, 1), so 0.99 stands in for 1.0
+    @given(score_tables(), st.sampled_from([0.05, 0.3, 0.99]))
+    @settings(max_examples=60, deadline=None)
+    def test_build_pruned_network_equals_prune_network(self, table, alpha):
+        """Built and filtered one universe at a time, the network equals the
+        filtered complete network array for array: ids, order and weights."""
+        fused = build_pruned_network(table, PipelineConfig(pruning=PruningConfig(alpha=alpha)))
+        whole = prune_network(build_network(table), alpha=alpha)
+        assert fused.layers == whole.layers
+        assert fused.vertices == whole.vertices
+        for got, want in ((fused.intra, whole.intra), (fused.inter, whole.inter)):
+            assert got.a.tolist() == want.a.tolist()
+            assert got.b.tolist() == want.b.tolist()
+            assert [w.hex() for w in got.w.tolist()] == [w.hex() for w in want.w.tolist()]
+
     def test_quantize_weights_equals_dict_quantizer(self):
         rng = np.random.default_rng(8)
         edges = {(f"n{i}", f"n{i + 1}"): float(w) for i, w in enumerate(rng.exponential(2e-3, 500))}
         edges[("x", "y")] = 0.0025  # rounds half to even, to 2
         assert quantize_weights(edges, 1000.0) == reference_quantize(edges, 1000.0)
+
+
+class TestBuildPrunedNetworkMemory:
+    def test_peak_at_most_half_of_the_complete_network_path(self):
+        """Only one universe's complete edges are held at a time, so the
+        traced peak is at most half that of filtering the complete network
+        (n = 300, six layers: 269,100 intra edges)."""
+        rng = np.random.default_rng(7)
+        n, layers = 300, [f"L{i + 1}" for i in range(6)]
+        entities = [f"e{i:03d}" for i in range(n)]
+        groups = np.column_stack([rng.permutation(np.arange(n) % 4) for _ in layers])
+        values = groups * 10.0 + rng.normal(0.0, 0.5, size=groups.shape)
+        table = ScoreTable(
+            tuple(entities),
+            tuple(layers),
+            {(e, l): float(values[i, j]) for i, e in enumerate(entities) for j, l in enumerate(layers)},
+        )
+        config = PipelineConfig()
+
+        def peak(run) -> int:
+            run()  # untraced first, so lazy imports are not counted
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fused = peak(lambda: build_pruned_network(table, config))
+        whole = peak(lambda: prune_network(build_network(table)))
+        assert fused <= whole / 2, (fused, whole)
