@@ -35,6 +35,17 @@ exp(gain / theta), then aggregation of the refined partition. Passes repeat
 until neither moving nor refinement changes anything. Communities of the
 returned partition always induce connected subgraphs; any community left
 disconnected by the move phase is split, which can only raise Q.
+
+Early reject. Most move-phase visits leave the vertex where it is. A
+candidate's score is its link minus gamma times a null term built from
+non-negative strengths, so no score exceeds its link, and a visit whose
+largest link to another community does not beat staying is rejected
+before any candidate is scored. The fresh community scores 0.0, which is
+the floor of that largest link. Removals can leave a community a negative
+strength of float drift. An emptied one is never a candidate again, so
+only communities that keep members and turn negative are tracked, and a
+vertex linked to one is scored in full. Decisions are those of scoring
+every candidate, to the bit.
 """
 
 from __future__ import annotations
@@ -282,7 +293,14 @@ def _null_scores(
     inv_layer_weight: list[float],
 ):
     """gamma-free null interaction between a vertex and each of ``comms``,
-    adding the vertex's layers in order."""
+    adding the vertex's layers in order.
+
+    A one-layer vertex skips the ``0.0 +``, which changes only the sign of a
+    zero; a candidate's positive link minus either zero is the same score.
+    """
+    if len(terms) == 1:
+        layer, k = terms[0]
+        return k * comm_strengths[layer][comms] * inv_layer_weight[layer]
     total = 0.0
     for layer, k in terms:
         total = total + k * comm_strengths[layer][comms] * inv_layer_weight[layer]
@@ -304,6 +322,10 @@ def _local_move(
     it grows when a vertex opens a fresh community. Returns the number of
     accepted moves, their summed gain (``mu`` times the rise in Q), the
     strength table and the next unused community id.
+
+    The early reject (module docstring) needs gamma > 0. ``negative`` holds
+    the communities that have members and a negative strength in some
+    layer; the reject is taken only when the vertex links to none of them.
     """
     ptr = level.indptr.tolist()
     indices, weights = level.indices, level.weights
@@ -312,6 +334,10 @@ def _local_move(
     self_null = [
         sum(k * k * inv_layer_weight[layer] for layer, k in terms) for terms in level.terms
     ]
+    size = np.bincount(comm, minlength=comm_strengths.shape[1])
+    below_zero = (comm_strengths < 0.0).any(axis=0)
+    negative = set(np.flatnonzero((size > 0) & below_zero).tolist())
+    size = size.tolist()
     moves = 0
     gain = 0.0
 
@@ -321,34 +347,48 @@ def _local_move(
         current = int(comm[v])
         terms = level.terms[v]
 
-        nbrs = indices[ptr[v] : ptr[v + 1]]
+        lo, hi = ptr[v], ptr[v + 1]
+        nbrs = indices[lo:hi]
         nbr_comm = comm[nbrs]
-        weight_to = np.bincount(nbr_comm, weights=weights[ptr[v] : ptr[v + 1]])
+        weight_to = np.bincount(nbr_comm, weights=weights[lo:hi])
+        stay_link = 0.0
+        if current < weight_to.size:
+            stay_link = float(weight_to[current])
+            weight_to[current] = 0.0
+        stay_null = 0.0
+        for layer, k in terms:
+            strength = float(comm_strengths[layer, current])
+            stay_null = stay_null + k * strength * inv_layer_weight[layer]
+        stay_score = stay_link - gamma * (stay_null - self_null[v])
+        # no candidate scores above its link, so none can beat staying; the
+        # initial 0.0 is a fresh community's link and score
+        if np.maximum.reduce(weight_to, initial=0.0) <= stay_score + _GAIN_TOL and not (
+            negative and any(c < weight_to.size and weight_to[c] for c in negative)
+        ):
+            continue
+
         # edge weights are positive, so linked communities are the nonzeros
         cands = weight_to.astype(bool).nonzero()[0]
         scores = weight_to[cands] - gamma * _null_scores(
             terms, comm_strengths, cands, inv_layer_weight
         )
 
-        stay_link = weight_to[current] if current < weight_to.size else 0.0
-        stay_score = stay_link - gamma * (
-            _null_scores(terms, comm_strengths, current, inv_layer_weight) - self_null[v]
-        )
-
         best_comm = current
         best_score = stay_score
         # only scores above the stay score can ever pass the running test
         above = (scores > stay_score + _GAIN_TOL).nonzero()[0]
-        for cand, score in zip(cands[above].tolist(), scores[above].tolist()):
-            if cand != current and score > best_score + _GAIN_TOL:
-                best_comm = cand
-                best_score = score
+        if above.size:
+            for cand, score in zip(cands[above].tolist(), scores[above].tolist()):
+                if score > best_score + _GAIN_TOL:
+                    best_comm = cand
+                    best_score = score
         # a fresh singleton community scores zero; take it when leaving wins
         if 0.0 > best_score + _GAIN_TOL:
             best_comm = next_id
             best_score = 0.0
             next_id += 1
             if best_comm == comm_strengths.shape[1]:
+                size.extend([0] * best_comm)
                 comm_strengths = np.concatenate(
                     [comm_strengths, np.zeros_like(comm_strengths)], axis=1
                 )
@@ -356,9 +396,17 @@ def _local_move(
         if best_comm == current:
             continue
 
+        size[current] -= 1
+        size[best_comm] += 1
         for layer, k in terms:
             comm_strengths[layer, current] -= k
             comm_strengths[layer, best_comm] += k
+            if size[current] and comm_strengths[layer, current] < 0.0:
+                negative.add(current)
+        if not size[current]:
+            negative.discard(current)
+        if best_comm in negative and (comm_strengths[:, best_comm] >= 0.0).all():
+            negative.discard(best_comm)
         comm[v] = best_comm
         moves += 1
         gain += best_score - stay_score
@@ -382,44 +430,46 @@ def _refine(
     Only vertices still alone in their refined community may move, and only
     into refined communities of the same parent community they are linked to.
     Candidates with positive gain are sampled with probability proportional
-    to exp(gain / theta); theta = 0 degenerates to the greedy choice.
+    to exp(gain / theta); theta = 0 degenerates to the greedy choice. A lone
+    candidate is taken outright, after the one draw sampling would make.
     """
-    ptr = level.indptr.tolist()
-    indices, weights = level.indices, level.weights
+    # a vertex links only to members of its own community: keep those entries
+    inside = np.repeat(comm, np.diff(level.indptr)) == comm[level.indices]
+    ptr = np.concatenate(([0], np.cumsum(inside)))[level.indptr].tolist()
+    indices, weights = level.indices[inside], level.weights[inside]
     refined = np.arange(level.n)
     ref_strengths = level.strengths.copy()
     ref_size = [1] * level.n
 
     for v in rng.permutation(level.n).tolist():
-        own = int(refined[v])
-        if ref_size[own] > 1:
+        if ref_size[v] > 1:
             continue
-        nbrs = indices[ptr[v] : ptr[v + 1]]
-        linked = (comm[nbrs] == comm[v]) & (refined[nbrs] != own)
-        if not linked.any():
+        lo, hi = ptr[v], ptr[v + 1]
+        if lo == hi:
             continue
-        weight_to = np.bincount(
-            refined[nbrs[linked]], weights=weights[ptr[v] : ptr[v + 1]][linked]
-        )
+        # v is still alone, so no neighbour shares its refined community
+        weight_to = np.bincount(refined[indices[lo:hi]], weights=weights[lo:hi])
         cands = weight_to.astype(bool).nonzero()[0]
         terms = level.terms[v]
         raw = weight_to[cands] - gamma * _null_scores(
             terms, ref_strengths, cands, inv_layer_weight
         )
-        positive = raw > _GAIN_TOL
-        if not positive.any():
+        positive = (raw > _GAIN_TOL).nonzero()[0]
+        if not positive.size:
             continue
         candidates = cands[positive]
-        gains = raw[positive] / mu
-
         if theta <= 0.0:
-            chosen = int(candidates[int(np.argmax(gains))])
+            chosen = int(candidates[int(np.argmax(raw[positive] / mu))])
+        elif positive.size == 1:
+            # a draw over one candidate picks it and consumes one number
+            rng.random()
+            chosen = int(candidates[0])
         else:
-            logits = gains / theta
+            logits = raw[positive] / mu / theta
             odds = np.exp(logits - logits.max())
             chosen = int(candidates[_draw(odds / odds.sum(), rng)])
 
-        ref_size[own] = 0
+        ref_size[v] = 0
         for layer, k in terms:
             ref_strengths[layer, chosen] += k
         ref_size[chosen] += 1

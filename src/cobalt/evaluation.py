@@ -75,7 +75,8 @@ def _sweep_entry(
         reduced = inject_missingness(table, ratio, seed)
     else:
         reduced = table
-    removed = tuple(e for e in table.entities if e not in set(reduced.entities))
+    kept = set(reduced.entities)
+    removed = tuple(e for e in table.entities if e not in kept)
 
     thin = [
         layer
@@ -201,10 +202,14 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     lam = 0 reduces to ordinary least squares and raises on a singular
     normal system.
     """
+    return _solve_ridge(X.T @ X, X.T @ y, lam)
+
+
+def _solve_ridge(gram: np.ndarray, moment: np.ndarray, lam: float) -> np.ndarray:
+    """Coefficients from the normal system ``(gram + penalty) beta = moment``."""
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
-    gram = X.T @ X
-    penalty = np.eye(X.shape[1]) * lam
+    penalty = np.eye(len(gram)) * lam
     penalty[0, 0] = 0.0
     system = gram + penalty
     if lam == 0.0:
@@ -213,7 +218,7 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
             raise np.linalg.LinAlgError(
                 "normal system is singular at lambda = 0; drop columns or penalize"
             )
-    return np.linalg.solve(system, X.T @ y)
+    return np.linalg.solve(system, moment)
 
 
 @dataclass(frozen=True)
@@ -249,20 +254,26 @@ def cross_validate(
         raise ValueError(f"{n} samples cannot fill {folds} folds")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    fold_indices = np.array_split(perm, folds)
+    # one training split and normal system per fold, shared by every lambda
+    splits = []
+    for test_idx in np.array_split(perm, folds):
+        mask = np.ones(n, dtype=bool)
+        mask[test_idx] = False
+        X_train, y_train = X[mask], y[mask]
+        splits.append(
+            (X_train.T @ X_train, X_train.T @ y_train, float(y_train.mean()),
+             X[test_idx], y[test_idx])
+        )
 
     best: CrossValResult | None = None
     for lam in lambda_grid:
         maes, mses, r2s = [], [], []
-        for test_idx in fold_indices:
-            mask = np.ones(n, dtype=bool)
-            mask[test_idx] = False
-            beta = fit_ridge(X[mask], y[mask], lam)
-            pred = X[test_idx] @ beta
-            err = pred - y[test_idx]
+        for gram, moment, train_mean, X_test, y_test in splits:
+            pred = X_test @ _solve_ridge(gram, moment, lam)
+            err = pred - y_test
             maes.append(float(np.mean(np.abs(err))))
             mses.append(float(np.mean(err**2)))
-            r2s.append(_fold_r2(y[test_idx], pred, float(y[mask].mean())))
+            r2s.append(_fold_r2(y_test, pred, train_mean))
         candidate = CrossValResult(
             lam, float(np.mean(maes)), float(np.mean(mses)), float(np.mean(r2s))
         )

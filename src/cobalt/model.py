@@ -245,7 +245,15 @@ def validate_score_table(table: ScoreTable) -> list[str]:
             violations.append(f"{cell} references unknown entity")
         if layer not in seen_layers:
             violations.append(f"{cell} references unknown layer")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            violations.append(f"{cell} is outside the float range")
+            continue
+        except (TypeError, ValueError):
+            violations.append(f"{cell} is not a number: {value!r:.40}")
+            continue
+        if not finite:
             violations.append(f"{cell} is not finite: {value}")
 
     for entity in table.entities:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import deque
 from itertools import chain, combinations
 from pathlib import Path
 from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
@@ -19,6 +20,7 @@ import numpy as np
 from scipy.special import betainc
 
 from cobalt import io as cio
+from cobalt.community import _GAIN_TOL, _Level, _draw
 from cobalt.model import EdgeArrays, MultiLayerNetwork, NodeRef, ScoreTable, vertex_order
 from cobalt.pruning import prune_network
 
@@ -349,6 +351,163 @@ def communities_connected(
             parent[find(a)] = find(b)
     roots = {find(v) for v in assignment}
     return len(roots) == len(set(assignment.values()))
+
+
+# ---------------------------------------------------------------------------
+# Leiden phases as they were before the early reject: every visit scores
+# every candidate community. The optimized phases must match them bit for bit.
+
+
+def _reference_null_scores(
+    terms: list[tuple[int, float]],
+    comm_strengths: np.ndarray,
+    comms: np.ndarray | int,
+    inv_layer_weight: list[float],
+):
+    """gamma-free null interaction between a vertex and each of ``comms``,
+    adding the vertex's layers in order."""
+    total = 0.0
+    for layer, k in terms:
+        total = total + k * comm_strengths[layer][comms] * inv_layer_weight[layer]
+    return total
+
+
+def reference_local_move(
+    level: _Level,
+    comm: np.ndarray,
+    comm_strengths: np.ndarray,
+    next_id: int,
+    gamma: float,
+    inv_layer_weight: list[float],
+    rng: np.random.Generator,
+) -> tuple[int, float, np.ndarray, int]:
+    """Queue-driven local moving.
+
+    ``comm_strengths[layer, c]`` is the strength of community c in a layer;
+    it grows when a vertex opens a fresh community. Returns the number of
+    accepted moves, their summed gain (``mu`` times the rise in Q), the
+    strength table and the next unused community id.
+    """
+    ptr = level.indptr.tolist()
+    indices, weights = level.indices, level.weights
+    queue = deque(rng.permutation(level.n).tolist())
+    queued = np.ones(level.n, dtype=bool)
+    self_null = [
+        sum(k * k * inv_layer_weight[layer] for layer, k in terms) for terms in level.terms
+    ]
+    moves = 0
+    gain = 0.0
+
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        current = int(comm[v])
+        terms = level.terms[v]
+
+        nbrs = indices[ptr[v] : ptr[v + 1]]
+        nbr_comm = comm[nbrs]
+        weight_to = np.bincount(nbr_comm, weights=weights[ptr[v] : ptr[v + 1]])
+        # edge weights are positive, so linked communities are the nonzeros
+        cands = weight_to.astype(bool).nonzero()[0]
+        scores = weight_to[cands] - gamma * _reference_null_scores(
+            terms, comm_strengths, cands, inv_layer_weight
+        )
+
+        stay_link = weight_to[current] if current < weight_to.size else 0.0
+        stay_score = stay_link - gamma * (
+            _reference_null_scores(terms, comm_strengths, current, inv_layer_weight) - self_null[v]
+        )
+
+        best_comm = current
+        best_score = stay_score
+        # only scores above the stay score can ever pass the running test
+        above = (scores > stay_score + _GAIN_TOL).nonzero()[0]
+        for cand, score in zip(cands[above].tolist(), scores[above].tolist()):
+            if cand != current and score > best_score + _GAIN_TOL:
+                best_comm = cand
+                best_score = score
+        # a fresh singleton community scores zero; take it when leaving wins
+        if 0.0 > best_score + _GAIN_TOL:
+            best_comm = next_id
+            best_score = 0.0
+            next_id += 1
+            if best_comm == comm_strengths.shape[1]:
+                comm_strengths = np.concatenate(
+                    [comm_strengths, np.zeros_like(comm_strengths)], axis=1
+                )
+
+        if best_comm == current:
+            continue
+
+        for layer, k in terms:
+            comm_strengths[layer, current] -= k
+            comm_strengths[layer, best_comm] += k
+        comm[v] = best_comm
+        moves += 1
+        gain += best_score - stay_score
+        wake = nbrs[(nbr_comm != best_comm) & ~queued[nbrs]]
+        queued[wake] = True
+        queue.extend(wake.tolist())
+    return moves, gain, comm_strengths, next_id
+
+
+def reference_refine(
+    level: _Level,
+    comm: np.ndarray,
+    gamma: float,
+    theta: float,
+    mu: float,
+    inv_layer_weight: list[float],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Rebuild every community from singletons with stochastic merges.
+
+    Only vertices still alone in their refined community may move, and only
+    into refined communities of the same parent community they are linked to.
+    Candidates with positive gain are sampled with probability proportional
+    to exp(gain / theta); theta = 0 degenerates to the greedy choice.
+    """
+    ptr = level.indptr.tolist()
+    indices, weights = level.indices, level.weights
+    refined = np.arange(level.n)
+    ref_strengths = level.strengths.copy()
+    ref_size = [1] * level.n
+
+    for v in rng.permutation(level.n).tolist():
+        own = int(refined[v])
+        if ref_size[own] > 1:
+            continue
+        nbrs = indices[ptr[v] : ptr[v + 1]]
+        linked = (comm[nbrs] == comm[v]) & (refined[nbrs] != own)
+        if not linked.any():
+            continue
+        weight_to = np.bincount(
+            refined[nbrs[linked]], weights=weights[ptr[v] : ptr[v + 1]][linked]
+        )
+        cands = weight_to.astype(bool).nonzero()[0]
+        terms = level.terms[v]
+        raw = weight_to[cands] - gamma * _reference_null_scores(
+            terms, ref_strengths, cands, inv_layer_weight
+        )
+        positive = raw > _GAIN_TOL
+        if not positive.any():
+            continue
+        candidates = cands[positive]
+        gains = raw[positive] / mu
+
+        if theta <= 0.0:
+            chosen = int(candidates[int(np.argmax(gains))])
+        else:
+            logits = gains / theta
+            odds = np.exp(logits - logits.max())
+            chosen = int(candidates[_draw(odds / odds.sum(), rng)])
+
+        ref_size[own] = 0
+        for layer, k in terms:
+            ref_strengths[layer, chosen] += k
+        ref_size[chosen] += 1
+        refined[v] = chosen
+    return refined
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,9 @@ from _support import (
     mln_from_edges,
     modularity_oracle,
     newman_girvan_modularity,
+    reference_local_move,
     reference_modularity,
+    reference_refine,
     two_cliques_bridged,
     two_triangles,
 )
@@ -428,6 +431,124 @@ class TestLeidenHistory:
                     supra, LeidenConfig(gamma=gamma, seed=seed)
                 )
                 assert passes >= 2
+
+
+def phase_calls(supra: SupraGraph, cfg: LeidenConfig) -> list[tuple]:
+    """Every move and refine call of one ``leiden`` run, with copies of the
+    arguments taken before the call."""
+    local_move, refine = community._local_move, community._refine
+    calls = []
+
+    def record_move(level, comm, comm_strengths, *args):
+        *rest, rng = args
+        copied = (comm.copy(), comm_strengths.copy(), *rest, copy.deepcopy(rng))
+        calls.append((reference_local_move, level, *copied))
+        return local_move(level, comm, comm_strengths, *args)
+
+    def record_refine(level, comm, *args):
+        *rest, rng = args
+        calls.append((reference_refine, level, comm.copy(), *rest, copy.deepcopy(rng)))
+        return refine(level, comm, *args)
+
+    with mock.patch.object(community, "_local_move", record_move), mock.patch.object(
+        community, "_refine", record_refine
+    ):
+        leiden(supra, cfg)
+    return calls
+
+
+def assert_move_matches_reference(level, comm, comm_strengths, *args) -> tuple:
+    """Run ``_local_move`` and its reference on copies of the same inputs;
+    return what ours returned and the labels it left."""
+    rng = args[-1]
+    ours_comm, ref_comm = comm.copy(), comm.copy()
+    ours_rng, ref_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+    ours = community._local_move(level, ours_comm, comm_strengths.copy(), *args[:-1], ours_rng)
+    ref = reference_local_move(level, ref_comm, comm_strengths.copy(), *args[:-1], ref_rng)
+    assert ours[0] == ref[0]
+    assert float(ours[1]).hex() == float(ref[1]).hex()
+    assert np.array_equal(ours[2], ref[2])
+    assert ours[3] == ref[3]
+    assert ours_comm.tolist() == ref_comm.tolist()
+    assert ours_rng.random() == ref_rng.random()
+    return ours, ours_comm
+
+
+class TestPhasesMatchReference:
+    """The move phase's early reject and the trimmed refine change no
+    decision: results equal the phases that score every candidate."""
+
+    @settings(deadline=None)
+    @given(multilayer_networks(), st.sampled_from([0.5, 1.0, 1.7]), st.integers(0, 9))
+    def test_leiden_equals_leiden_with_reference_phases(self, net, gamma, seed):
+        assume(net.nodes)
+        supra, cfg = SupraGraph(net), LeidenConfig(gamma=gamma, seed=seed)
+        ours = leiden(supra, cfg)
+        with mock.patch.object(community, "_local_move", reference_local_move), mock.patch.object(
+            community, "_refine", reference_refine
+        ):
+            ref = leiden(supra, cfg)
+        assert ours.partition == ref.partition
+        assert ours.quality.hex() == ref.quality.hex()
+        assert [q.hex() for q in ours.history] == [q.hex() for q in ref.history]
+
+    @settings(deadline=None)
+    @given(multilayer_networks(), st.sampled_from([0.5, 1.0, 1.7]), st.integers(0, 9))
+    def test_each_phase_call_equals_reference(self, net, gamma, seed):
+        assume(net.nodes)
+        cfg = LeidenConfig(gamma=gamma, seed=seed)
+        for reference, level, comm, *args in phase_calls(SupraGraph(net), cfg):
+            if reference is reference_local_move:
+                assert_move_matches_reference(level, comm, *args)
+                continue
+            ours_rng, ref_rng = copy.deepcopy(args[-1]), copy.deepcopy(args[-1])
+            ours = community._refine(level, comm.copy(), *args[:-1], ours_rng)
+            ref = reference_refine(level, comm.copy(), *args[:-1], ref_rng)
+            assert ours.tolist() == ref.tolist()
+            assert ours_rng.random() == ref_rng.random()
+
+    @staticmethod
+    def one_layer_level(edges, strengths) -> community._Level:
+        """Level over one layer from (a, b, weight) edges, each listed in
+        both rows in the given order."""
+        rows = [[] for _ in strengths]
+        for a, b, w in edges:
+            rows[a].append((b, w))
+            rows[b].append((a, w))
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        entries = [entry for row in rows for entry in row]
+        return community._Level(
+            indptr,
+            np.array([b for b, _ in entries], dtype=np.int64),
+            np.array([w for _, w in entries], dtype=float),
+            np.array([strengths], dtype=float),
+            [[(0, k)] for k in strengths],
+        )
+
+    def test_vertex_whose_best_option_is_a_fresh_community(self):
+        # vertex 0 has no links left but a strength from edges merged away
+        # at a coarser level; sharing community 0 only costs it null weight
+        level = self.one_layer_level([(1, 2, 1.0)], [2.0, 1.0, 1.0])
+        comm = np.zeros(3, dtype=np.int64)
+        strengths = np.array([[4.0, 0.0, 0.0]])
+        for seed in range(4):
+            (moves, _, _, next_id), labels = assert_move_matches_reference(
+                level, comm, strengths, 3, 1.0, [0.25], np.random.default_rng(seed)
+            )
+            assert labels[0] == 3 and labels[1] == labels[2] == 0
+            assert (moves, next_id) == (1, 4)
+
+    def test_negative_strength_of_a_community_with_members(self):
+        # vertex 0 alone links to community 1 by less than the tolerance; a
+        # negative strength makes community 1's null term a reward
+        level = self.one_layer_level([(0, 1, 1e-13)], [1.0, 1.0])
+        comm = np.array([0, 1])
+        strengths = np.array([[1.0, -1.0]])
+        for seed in range(4):
+            (moves, _, _, _), labels = assert_move_matches_reference(
+                level, comm, strengths, 2, 1.0, [1.0], np.random.default_rng(seed)
+            )
+            assert moves >= 1 and labels[0] == labels[1]
 
 
 class TestNetworkxOracles:

@@ -6,6 +6,7 @@ import pytest
 
 from cobalt.config import PipelineConfig, SweepConfig
 from cobalt.evaluation import (
+    CrossValResult,
     build_design_matrix,
     cross_validate,
     derive_seed,
@@ -234,6 +235,35 @@ class TestCrossValidate:
         y = X @ np.array([1.0, 2.0, -1.0]) + rng.normal(0, 0.05, size=100)
         result = cross_validate(X, y, folds=10, lambda_grid=[1000.0, 0.01], seed=0)
         assert result.best_lambda == 0.01
+
+    def test_equals_one_fit_per_lambda_and_fold(self):
+        """The shared per-fold normal systems give exactly the result of
+        fitting every lambda on every fold anew."""
+        rng = np.random.default_rng(6)
+        X = np.column_stack([np.ones(120), rng.normal(size=(120, 4))])
+        y = X @ rng.normal(size=5) + rng.normal(0, 0.5, size=120)
+        grid = (0.0, 0.01, 1.0, 100.0)
+        folds = np.array_split(np.random.default_rng(3).permutation(120), 7)
+        expected = None
+        for lam in grid:
+            errors, r2s = [], []
+            for test_idx in folds:
+                mask = np.ones(120, dtype=bool)
+                mask[test_idx] = False
+                pred = X[test_idx] @ fit_ridge(X[mask], y[mask], lam)
+                errors.append(pred - y[test_idx])
+                ss_tot = float(np.sum((y[test_idx] - float(y[mask].mean())) ** 2))
+                r2s.append(1.0 - float(np.sum((y[test_idx] - pred) ** 2)) / ss_tot)
+            mse = float(np.mean([float(np.mean(e**2)) for e in errors]))
+            if expected is None or mse < expected.mse:
+                mae = float(np.mean([float(np.mean(np.abs(e))) for e in errors]))
+                expected = CrossValResult(lam, mae, mse, float(np.mean(r2s)))
+        assert cross_validate(X, y, folds=7, lambda_grid=grid, seed=3) == expected
+
+    def test_singular_system_at_lambda_zero_raises(self):
+        X = np.column_stack([np.ones(30), np.arange(30.0), 2.0 * np.arange(30.0)])
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            cross_validate(X, np.arange(30.0), folds=5, lambda_grid=[0.0], seed=0)
 
 
 class TestRegressionReport:

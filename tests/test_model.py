@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobalt.community import canonicalize
+from cobalt.config import PipelineConfig
 from cobalt.model import (
     EdgeArrays,
     MultiLayerNetwork,
@@ -15,6 +16,7 @@ from cobalt.model import (
     validate_score_table,
     vertex_order,
 )
+from cobalt.pipeline import build_pruned_network
 
 from _support import co_membership, network_of
 
@@ -49,6 +51,79 @@ class TestValidateScoreTable:
     def test_too_few_entities(self):
         table = ScoreTable(("only",), ("A",), {("only", "A"): 1.0})
         assert any("at least 2" in v for v in validate_score_table(table))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (None, "is not a number: None"),
+            ("2", "is not a number: '2'"),
+            (10**400, "is outside the float range"),
+            (-(10**400), "is outside the float range"),
+        ],
+        ids=["none", "string", "huge_int", "huge_negative_int"],
+    )
+    def test_cell_that_is_no_float_is_named(self, value, message):
+        cells = {(e, l): 1.0 for e in ("e1", "e2", "e3") for l in ("A", "B")}
+        cells[("e2", "B")] = value
+        violations = validate_score_table(make_table(cells))
+        assert violations == [f"cell ('e2', 'B') {message}"]
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_direct_tables_give_violations_or_a_network(self, data):
+        """Tables built directly, as library callers build them: the checks
+        never raise, and a table that passes them builds a network or fails
+        with an error the CLI maps to exit 2 or 3."""
+        table = data.draw(direct_score_tables())
+        violations = validate_score_table(table)
+        assert all(isinstance(v, str) for v in violations)
+        if violations:
+            return
+        try:
+            network = build_pruned_network(table, PipelineConfig())
+        except (ValueError, ArithmeticError):
+            return
+        assert network.layers == table.layers
+
+
+# a few finite floats of every size, and the cells no table should hold
+good_cells = (
+    st.floats(-1e6, 1e6) | st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False)
+)
+bad_cells = (
+    st.sampled_from([math.nan, math.inf, -math.inf, None, "", "2"])
+    | st.integers(-(10**400), 10**400)
+    | st.text(max_size=3)
+)
+
+
+@st.composite
+def direct_score_tables(draw):
+    """ScoreTable built without the CSV reader. Half the tables have unique,
+    non-empty ids and number cells, so that some pass the checks; in the
+    rest ids may be empty or repeated, cells may be bad, and some cells name
+    unknown entities or layers."""
+    well_formed = draw(st.booleans())
+    if well_formed:
+        ids = st.text("pqr", min_size=1, max_size=2)
+        entities = draw(st.lists(ids, min_size=2, max_size=6, unique=True))
+        names = st.text("AB", min_size=1, max_size=2)
+        layers = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+        cells = good_cells
+    else:
+        entities = draw(st.lists(st.text("pq", max_size=2), max_size=6))
+        layers = draw(st.lists(st.text("AB", max_size=1), max_size=3))
+        cells = good_cells | bad_cells
+    scores = {
+        (e, layer): draw(cells)
+        for e in entities
+        for layer in layers
+        if draw(st.integers(0, 7))
+    }
+    if not well_formed:
+        strays = st.tuples(st.text("pqz", max_size=2), st.text("ABZ", max_size=1))
+        scores.update((key, draw(cells)) for key in draw(st.lists(strays, max_size=2)))
+    return ScoreTable(tuple(entities), tuple(layers), scores)
 
 
 class TestLayerNodeSet:
