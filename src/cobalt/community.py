@@ -78,9 +78,9 @@ class LeidenConfig:
     max_passes: int = 20
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError(f"resolution must be positive, got {self.gamma}")
-        if self.theta < 0:
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not self.theta >= 0:
             raise ValueError(f"theta must be non-negative, got {self.theta}")
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be at least 1, got {self.max_passes}")
@@ -230,17 +230,6 @@ def multislice_modularity(
     null = _running_total(k_sum[live] * k_sum[live] / two_m[live])
 
     return (2.0 * link - gamma * null) / (2.0 * supra.total_weight)
-
-
-def canonicalize(partition: Partition) -> Partition:
-    """Relabel communities to dense ids ordered by first appearance."""
-    relabel: dict[int, int] = {}
-    assignment: dict[NodeRef, int] = {}
-    for node, label in partition.assignment.items():
-        if label not in relabel:
-            relabel[label] = len(relabel)
-        assignment[node] = relabel[label]
-    return Partition(assignment, partition.quality)
 
 
 @dataclass(frozen=True)
@@ -562,7 +551,7 @@ def _split_disconnected(supra: SupraGraph, labels: np.ndarray) -> np.ndarray:
 
     Splitting removes no within-community edges, so the link term is intact
     and the per-layer null term can only shrink; Q never decreases. The
-    pieces are numbered by community label, then by lowest vertex.
+    pieces are numbered 0..k-1 in order of their lowest vertex.
     """
     inside = labels[supra.rows] == labels[supra.indices]
     rows, cols = supra.rows[inside], supra.indices[inside]
@@ -576,8 +565,11 @@ def _split_disconnected(supra: SupraGraph, labels: np.ndarray) -> np.ndarray:
         if np.array_equal(lowest, root):
             break
         root = lowest
-    _, pieces = np.unique(labels * supra.vertex_count + root, return_inverse=True)
-    return pieces
+    _, first, pieces = np.unique(
+        labels * supra.vertex_count + root, return_index=True, return_inverse=True
+    )
+    rank = np.argsort(np.argsort(first))
+    return rank[pieces]
 
 
 def _assignment(supra: SupraGraph, labels: np.ndarray) -> dict[NodeRef, int]:
@@ -589,14 +581,14 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
 
     The returned quality always equals ``multislice_modularity`` of the
     returned partition, every community induces a connected subgraph, and
-    the per-pass history is non-decreasing.
+    the per-pass history is non-decreasing. Communities are numbered
+    0..k-1 in order of their first vertex in ``supra.vertices``.
     """
     if supra.vertex_count == 0:
         raise ValueError("graph has no vertices")
     if supra.total_weight <= 0.0:
         assignment = {v: i for i, v in enumerate(supra.vertices)}
-        partition = canonicalize(Partition(assignment, 0.0))
-        return LeidenResult(partition, 0.0, (0.0,))
+        return LeidenResult(Partition(assignment, 0.0), 0.0, (0.0,))
 
     rng = np.random.default_rng(cfg.seed)
     mu = supra.total_weight
@@ -633,5 +625,4 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
     assignment = _assignment(supra, _split_disconnected(supra, comm[top]))
     quality = multislice_modularity(supra, assignment, cfg.gamma)
     history.append(quality)
-    partition = canonicalize(Partition(assignment, quality))
-    return LeidenResult(partition, quality, tuple(history))
+    return LeidenResult(Partition(assignment, quality), quality, tuple(history))

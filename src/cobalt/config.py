@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -14,6 +15,36 @@ DEFAULT_SWEEP_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
+def _is_number(value: Any) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+# what a JSON value must be, by the type of the field's default; a bool is
+# neither an integer nor a number here, and json reads NaN and Infinity,
+# which no artifact can hold
+_FIELD_RULES = {
+    int: ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    float: ("a finite number", _is_number),
+    str: ("a string", lambda v: type(v) is str),
+    tuple: ("a list of finite numbers", lambda v: type(v) is list and all(map(_is_number, v))),
+}
+
+
+def _section(raw: dict[str, Any], name: str, factory: type) -> Any:
+    """``factory`` built from section ``name`` of a parsed config file."""
+    data = raw.get(name, {})
+    if not isinstance(data, dict):
+        raise ValueError(f"config section {name} must be an object, got {data!r}")
+    kinds = {f.name: type(f.default) for f in fields(factory)}
+    for key, value in data.items():
+        if key not in kinds:
+            raise ValueError(f"unknown config field {name}.{key}")
+        what, valid = _FIELD_RULES[kinds[key]]
+        if not valid(value):
+            raise ValueError(f"config field {name}.{key} must be {what}, got {value!r}")
+    return factory(**{k: tuple(v) if type(v) is list else v for k, v in data.items()})
+
+
 @dataclass(frozen=True)
 class PruningConfig:
     alpha: float = 0.05
@@ -22,7 +53,7 @@ class PruningConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.quantization <= 0.0:
+        if not self.quantization > 0.0:
             raise ValueError(f"quantization must be positive, got {self.quantization}")
 
 
@@ -86,24 +117,19 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
+        """Config from parsed JSON; a malformed section or field is named."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {raw!r}")
         known = {"pruning", "leiden", "selector", "sweep", "regression"}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
-
-        def build(section: str, factory, tuple_fields: tuple[str, ...] = ()):
-            data = dict(raw.get(section, {}))
-            for name in tuple_fields:
-                if name in data:
-                    data[name] = tuple(data[name])
-            return factory(**data)
-
         return cls(
-            pruning=build("pruning", PruningConfig),
-            leiden=build("leiden", LeidenConfig),
-            selector=build("selector", SelectorConfig),
-            sweep=build("sweep", SweepConfig, ("grid",)),
-            regression=build("regression", RegressionConfig, ("lambda_grid",)),
+            pruning=_section(raw, "pruning", PruningConfig),
+            leiden=_section(raw, "leiden", LeidenConfig),
+            selector=_section(raw, "selector", SelectorConfig),
+            sweep=_section(raw, "sweep", SweepConfig),
+            regression=_section(raw, "regression", RegressionConfig),
         )
 
     @classmethod

@@ -78,15 +78,11 @@ def _sweep_entry(
     kept = set(reduced.entities)
     removed = tuple(e for e in table.entities if e not in kept)
 
-    thin = [
-        layer
-        for layer in reduced.layers
-        if sum(1 for e in reduced.entities if reduced.has(e, layer)) < 3
-    ]
-    if thin or len(reduced.entities) < 3:
+    # the table is complete, so every layer holds every remaining entity
+    if len(reduced.entities) < 3:
         return SweepEntry(
             ratio, seed, removed, (), 0, failed=True,
-            reason=f"fewer than 3 entities left in layers {thin or list(reduced.layers)}",
+            reason=f"fewer than 3 entities left in layers {list(reduced.layers)}",
         )
     try:
         trace = run_selection(reduced, config)
@@ -265,7 +261,7 @@ def cross_validate(
              X[test_idx], y[test_idx])
         )
 
-    best: CrossValResult | None = None
+    results = []
     for lam in lambda_grid:
         maes, mses, r2s = [], [], []
         for gram, moment, train_mean, X_test, y_test in splits:
@@ -274,13 +270,12 @@ def cross_validate(
             maes.append(float(np.mean(np.abs(err))))
             mses.append(float(np.mean(err**2)))
             r2s.append(_fold_r2(y_test, pred, train_mean))
-        candidate = CrossValResult(
-            lam, float(np.mean(maes)), float(np.mean(mses)), float(np.mean(r2s))
+        results.append(
+            CrossValResult(
+                lam, float(np.mean(maes)), float(np.mean(mses)), float(np.mean(r2s))
+            )
         )
-        if best is None or candidate.mse < best.mse:
-            best = candidate
-    assert best is not None
-    return best
+    return min(results, key=lambda r: r.mse)
 
 
 @dataclass(frozen=True)
@@ -318,11 +313,12 @@ def regression_report(
     rows: list[RegressionRow] = []
     skipped: list[str] = []
     reg = config.regression
+    feature_sets: list[tuple[str, Mapping[str, int] | None]] = [("baseline", None)]
+    feature_sets += [
+        (f"cobalt@iteration{r.index}", project_partition(r.partition, r.layers))
+        for r in trace.records
+    ]
     for target_layer in targets.layers:
-        feature_sets: list[tuple[str, Mapping[str, int] | None]] = [("baseline", None)]
-        for record in trace.records:
-            projected = project_partition(record.partition, record.layers)
-            feature_sets.append((f"cobalt@iteration{record.index}", projected))
         for name, partition in feature_sets:
             try:
                 design, y = build_design_matrix(

@@ -76,7 +76,6 @@ class InitResult:
     and the supra-graph they were sliced from."""
 
     best_layer: str
-    best: LeidenResult
     singles: Mapping[str, LeidenResult]
     supra: SupraGraph
 
@@ -139,17 +138,9 @@ def cobalt_init(supra: SupraGraph, cfg: LeidenConfig) -> InitResult:
     """
     if not supra.layers:
         raise ValueError("no layers to initialize from")
-    singles: dict[str, LeidenResult] = {}
-    best_layer: str | None = None
-    best_q = -math.inf
-    for layer in supra.layers:
-        result = leiden(supra.restrict([layer]), cfg)
-        singles[layer] = result
-        if result.quality > best_q:
-            best_layer = layer
-            best_q = result.quality
-    assert best_layer is not None
-    return InitResult(best_layer, singles[best_layer], singles, supra)
+    singles = {layer: leiden(supra.restrict([layer]), cfg) for layer in supra.layers}
+    best_layer = max(supra.layers, key=lambda layer: singles[layer].quality)
+    return InitResult(best_layer, singles, supra)
 
 
 def stopping_condition(trace: IterationTrace, mode: str) -> bool:
@@ -216,33 +207,24 @@ def cobalt_select(
 
     supra = init.supra
     selected = [init.best_layer]
-    incumbent_result = init.best
+    incumbent_result = init.singles[init.best_layer]
     records = [
         _record(1, init.best_layer, None, incumbent_result, supra.restrict(selected))
     ]
     candidates = [l for l in pruned.layers if l != init.best_layer]
+    p_cands = {
+        l: project_partition(init.singles[l].partition, [l]) for l in candidates
+    }
 
     trace = IterationTrace(tuple(records))
     while candidates and not stopping_condition(trace, stopping):
         incumbent_entities = set().union(*(layer_entities[l] for l in selected))
         p_inc = project_partition(incumbent_result.partition, selected)
-
-        best: LayerCostBreakdown | None = None
-        for layer in candidates:
-            p_cand = project_partition(init.singles[layer].partition, [layer])
-            breakdown = layer_cost(
-                incumbent_entities, layer_entities[layer], p_inc, p_cand, layer
-            )
-            if (
-                best is None
-                or breakdown.cost < best.cost
-                or (
-                    breakdown.cost == best.cost
-                    and breakdown.availability > best.availability
-                )
-            ):
-                best = breakdown
-        assert best is not None
+        costs = [
+            layer_cost(incumbent_entities, layer_entities[l], p_inc, p_cands[l], l)
+            for l in candidates
+        ]
+        best = min(costs, key=lambda b: (b.cost, -b.availability))
 
         selected.append(best.layer)
         candidates.remove(best.layer)

@@ -222,7 +222,8 @@ def test_cost_prefers_novel_communities():
 
         # cost of both candidates against the initial incumbent: the exact
         # duplicate prices at similarity 1, the cross-cutting layer near 0
-        p_inc = project_partition(init.best.partition, [init.best_layer])
+        best = init.singles[init.best_layer]
+        p_inc = project_partition(best.partition, [init.best_layer])
         entities = pruned.layer_nodes(init.best_layer)
         costs = {}
         for cand in (twin, "cols"):

@@ -3,17 +3,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cobalt import community
 from cobalt.community import (
     LeidenConfig,
     SupraGraph,
-    canonicalize,
     leiden,
     multislice_modularity,
 )
-from cobalt.model import MultiLayerNetwork, NodeRef, Partition
+from cobalt.model import MultiLayerNetwork, NodeRef
 
 from _support import (
     ReferenceSupraGraph,
@@ -242,17 +241,6 @@ class TestLeiden:
         assert result.partition.community_count() == 2
 
 
-class TestCanonicalizeEdgeCases:
-    def test_already_canonical_unchanged(self):
-        nodes = [NodeRef(e, "L") for e in "abc"]
-        part = Partition({nodes[0]: 0, nodes[1]: 1, nodes[2]: 0}, 0.1)
-        assert canonicalize(part).assignment == dict(part.assignment)
-
-    def test_quality_carried_through(self):
-        part = Partition({NodeRef("a", "L"): 4}, 0.25)
-        assert canonicalize(part).quality == 0.25
-
-
 # weights spanning six decades, plus the tie weight 1/(2 * 1e-9), so that
 # any change in summation order shows in the last bits
 edge_weights = st.floats(1e-3, 1e3) | st.just(5e8)
@@ -302,6 +290,20 @@ def assert_matches_reference(supra: SupraGraph, ref: ReferenceSupraGraph) -> Non
         assert list(row) == ref.row(v)
     assert supra.intra_edge_count == sum(map(len, ref.intra)) // 2
     assert supra.coupling_edge_count == sum(map(len, ref.coupling)) // 2
+
+
+class TestLeidenLabels:
+    @settings(deadline=None)
+    @example(mln_from_edges({"A": []}, extra_nodes=[("a", "A"), ("b", "A")]), 1.0, 0)
+    @given(multilayer_networks(), st.sampled_from([0.5, 1.0, 1.7]), st.integers(0, 9))
+    def test_numbered_by_first_vertex(self, net, gamma, seed):
+        assume(net.nodes)
+        supra = SupraGraph(net)
+        assignment = leiden(supra, LeidenConfig(gamma=gamma, seed=seed)).partition.assignment
+        assert len(assignment) == supra.vertex_count
+        labels = [assignment[v] for v in supra.vertices]
+        # 0..k-1, each community numbered when its first vertex is reached
+        assert list(dict.fromkeys(labels)) == list(range(len(set(labels))))
 
 
 class TestSupraGraphMatchesReference:

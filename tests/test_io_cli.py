@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cobalt import cli
 from cobalt import io as cio
+from cobalt.community import LeidenConfig
+from cobalt.config import PruningConfig
 from cobalt.model import MultiLayerNetwork, NodeRef, Partition, ScoreTable
 
 from _support import halves_and_parity_table, mln_from_edges, read_graphml, write_score_csv
@@ -560,6 +562,61 @@ class TestCliInputRules:
         assert cli.main(argv + ["--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: lambda values must be positive")
+
+
+class TestCliConfigRules:
+    INPUTS = {
+        "select": [str(PLANTED / "scores.csv")],
+        "sweep": [str(PLANTED / "scores.csv")],
+        "evaluate": [
+            *(str(PLANTED / f) for f in ("scores.csv", "covariates.csv", "targets.csv")),
+            "--trace",
+            str(PLANTED / "expected" / "select" / "trace.json"),
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "command, text, field",
+        [
+            ("select", '{"leiden": {"gamma": NaN}}', "leiden.gamma"),
+            ("select", '{"leiden": {"gamma": Infinity}}', "leiden.gamma"),
+            ("select", '{"leiden": {"gama": 1.0}}', "leiden.gama"),
+            ("select", '{"leiden": {"max_passes": 2.5}}', "leiden.max_passes"),
+            ("select", '{"leiden": 3}', "leiden"),
+            ("select", '{"leiden": {"seed": 1.5}}', "leiden.seed"),
+            ("select", '{"leiden": {"seed": true}}', "leiden.seed"),
+            ("evaluate", '{"regression": {"seed": 1.5}}', "regression.seed"),
+            ("evaluate", '{"regression": {"seed": -1}}', "regression.seed"),
+            ("sweep", '{"sweep": {"master_seed": -1}}', "sweep.master_seed"),
+            ("sweep", '{"sweep": {"master_seed": 1.5}}', "sweep.master_seed"),
+            ("sweep", '{"sweep": {"grid": 0.5}}', "sweep.grid"),
+            ("sweep", '{"sweep": {"grid": [0.5, NaN]}}', "sweep.grid"),
+            ("evaluate", '{"pruning": {"alpha": "0.05"}}', "pruning.alpha"),
+            ("evaluate", '{"regression": {"folds": 2.5}}', "regression.folds"),
+        ],
+    )
+    def test_malformed_field_exits_two_naming_it(self, command, text, field, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        argv = [command, *self.INPUTS[command], "--config", str(config)]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        line = capsys.readouterr().err.splitlines()[0]
+        assert line.startswith("error: ")
+        assert re.search(rf"\b{re.escape(field)}\b", line)
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LeidenConfig(gamma=math.nan),
+            lambda: LeidenConfig(theta=math.nan),
+            lambda: PruningConfig(quantization=math.nan),
+        ],
+        ids=["gamma", "theta", "quantization"],
+    )
+    def test_library_config_rejects_nan(self, make):
+        with pytest.raises(ValueError, match="must be"):
+            make()
 
 
 class TestCliMalformedArtifacts:

@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobalt.community import canonicalize
 from cobalt.config import PipelineConfig
 from cobalt.model import (
     EdgeArrays,
     MultiLayerNetwork,
     NodeRef,
-    Partition,
     ScoreTable,
     validate_score_table,
     vertex_order,
 )
 from cobalt.pipeline import build_pruned_network
 
-from _support import co_membership, network_of
+from _support import network_of
 
 
 def make_table(cells, entities=("e1", "e2", "e3"), layers=("A", "B")):
@@ -287,25 +285,3 @@ class TestEdgeArrays:
         assert dict(sub.inter_edges) == {
             e: w for e, w in inter.items() if {e[0].layer, e[1].layer} <= keep
         }
-
-
-class TestCanonicalize:
-    def test_relabels_by_first_appearance(self):
-        nodes = [NodeRef(e, "L") for e in ("a", "b", "c")]
-        part = Partition({nodes[0]: 7, nodes[1]: 3, nodes[2]: 7}, 0.5)
-        canon = canonicalize(part)
-        assert [canon.assignment[n] for n in nodes] == [0, 1, 0]
-        assert canon.quality == 0.5
-
-    def test_idempotent_and_preserves_co_membership(self):
-        nodes = [NodeRef(e, "L") for e in "abcdef"]
-        part = Partition(
-            {n: c for n, c in zip(nodes, [9, 2, 9, 5, 2, 5])}, 0.0
-        )
-        once = canonicalize(part)
-        twice = canonicalize(once)
-        assert once.assignment == twice.assignment
-        assert co_membership(part.assignment) == co_membership(once.assignment)
-
-    def test_empty_partition(self):
-        assert canonicalize(Partition({}, 0.0)).assignment == {}

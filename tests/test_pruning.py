@@ -1,5 +1,6 @@
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -227,6 +228,55 @@ class TestPruneNetwork:
         for scale in (0.0, -1.0):
             with pytest.raises(ValueError, match="scale must be positive"):
                 prune_network(empty, scale=scale)
+
+
+def coupling_totals(m: int) -> np.ndarray:
+    """Universe totals E >= m: every integer up to m + 200, then a log grid
+    to 1e9."""
+    dense = np.arange(m, m + 201)
+    return np.unique(np.concatenate([dense, np.rint(np.geomspace(m, 1e9, 400))]))
+
+
+class TestCouplingBound:
+    """A coupling universe is a perfect matching, so a coupling of count m
+    has quantized strengths k_i = k_j = m, and its p-value depends on m and
+    the universe total E alone. At E = m it is Binomial(m, 1/2)'s 2^-m."""
+
+    def test_at_most_two_to_minus_m_up_to_count_nine(self):
+        for m in range(1, 10):
+            pv = edge_p_value(float(m), float(m), float(m), coupling_totals(m))
+            assert pv[0] == 2.0**-m
+            assert pv.max() == 2.0**-m
+
+    def test_above_two_to_minus_m_from_count_ten_yet_below_two_to_minus_nine(self):
+        for m in range(10, 41):
+            pv = edge_p_value(float(m), float(m), float(m), coupling_totals(m))
+            assert pv[0] == 2.0**-m
+            assert pv[1] > 2.0**-m  # E = m + 1: the bound fails
+            assert pv.max() < 2.0**-9
+        assert p_value_oracle(10, 10, 10, 11) > 2.0**-10
+
+    def test_matches_exhaustive_oracle(self):
+        for m in range(1, 13):
+            for total in range(m, 21):
+                assert edge_p_value(m, m, m, total) == pytest.approx(
+                    p_value_oracle(m, m, m, total), rel=1e-9
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=30),
+        st.sampled_from([0.5, 0.05, 0.01, 2.0**-9]),
+    )
+    def test_filter_keeps_every_coupling_of_count_log2_inverse_alpha(self, counts, alpha):
+        entities = [f"e{i}" for i in range(len(counts))]
+        mln = mln_from_edges(
+            {"A": [], "B": []},
+            couplings=[(e, "A", "B", float(c)) for e, c in zip(entities, counts)],
+        )
+        kept = {a.entity for a, _ in prune_network(mln, alpha=alpha, scale=1.0).inter_edges}
+        floor = math.ceil(math.log2(1.0 / alpha))
+        assert {e for e, c in zip(entities, counts) if c >= floor} <= kept
 
 
 class TestQuantizedTotalLimit:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cobalt import selector
 from cobalt.community import LeidenConfig, SupraGraph
 from cobalt.config import PipelineConfig
 from cobalt.model import NodeRef, Partition
@@ -188,6 +189,44 @@ class TestStoppingCondition:
             stopping_condition(fake_trace([0.9, 0.8], [0.0, 0.0]), "SC3")
 
 
+class TestCostTieRules:
+    """Which candidate ``cobalt_select`` takes when ``layer_cost`` is replaced
+    by crafted breakdowns: least cost, then higher availability, then input
+    order."""
+
+    def selected(self, monkeypatch, priced):
+        """Selected layers after 'base', each candidate priced by ``priced``
+        as (availability, cost) in every iteration."""
+        net = mln_from_edges(
+            {
+                "base": five_clique_layer("a") + five_clique_layer("b"),
+                **{layer: clique_edges(["a0", "a1", "a2"]) for layer in priced},
+            }
+        )
+        init = cobalt_init(SupraGraph(net), LeidenConfig(seed=0))
+        assert init.best_layer == "base"
+
+        def crafted(incumbent, candidate, p_inc, p_cand, layer):
+            availability, cost = priced[layer]
+            return LayerCostBreakdown(layer, availability, 0.0, cost)
+
+        monkeypatch.setattr(selector, "layer_cost", crafted)
+        trace = cobalt_select(net, init, LeidenConfig(seed=0))
+        return [r.layer for r in trace.records[1:]]
+
+    def test_equal_cost_goes_to_higher_availability(self, monkeypatch):
+        priced = {"low": (0.5, 2.0), "high": (1.0, 2.0), "dear": (1.0, 3.0)}
+        assert self.selected(monkeypatch, priced) == ["high", "low", "dear"]
+
+    def test_equal_cost_and_availability_go_to_input_order(self, monkeypatch):
+        priced = {"c1": (0.5, 2.0), "c2": (0.5, 2.0), "c3": (0.5, 2.0)}
+        assert self.selected(monkeypatch, priced) == ["c1", "c2", "c3"]
+
+    def test_all_infinite_costs_go_to_input_order(self, monkeypatch):
+        priced = {"c1": (0.0, math.inf), "c2": (0.0, math.inf), "c3": (0.0, math.inf)}
+        assert self.selected(monkeypatch, priced) == ["c1", "c2", "c3"]
+
+
 def selection_fixture():
     """Four layers engineered so availability rules every choice.
 
@@ -270,7 +309,7 @@ class TestCobaltSelect:
         init = cobalt_init(SupraGraph(net), LeidenConfig(seed=0))
         assert init.best_layer == "base"
         # cost breakdowns of both candidates against the initial incumbent
-        p_inc = project_partition(init.best.partition, ["base"])
+        p_inc = project_partition(init.singles[init.best_layer].partition, ["base"])
         entities = net.layer_nodes("base")
         twin_part = project_partition(init.singles["twin"].partition, ["twin"])
         cross_part = project_partition(init.singles["cross"].partition, ["cross"])
