@@ -1,6 +1,6 @@
 """Command-line pipeline runner.
 
-Subcommands: build, select, sweep, evaluate, render, export. Exit codes:
+Subcommands: build, select, sweep, evaluate, export. Exit codes:
 0 success, 2 input or validation problem, 3 numerical failure. Outputs are
 deterministic for fixed inputs, config, and seed.
 """
@@ -17,7 +17,6 @@ from .config import PipelineConfig
 from .evaluation import missingness_sweep, regression_report
 from .model import ScoreTable, validate_score_table
 from .pipeline import build_pruned_network, initialize, run_selection
-from .render import render_network
 from .selector import cobalt_select
 
 EXIT_OK = 0
@@ -133,18 +132,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    with open(args.network, "r", encoding="utf-8") as fh:
-        network = cio.network_from_dict(json.load(fh))
-    with open(args.partition, "r", encoding="utf-8") as fh:
-        partition = cio.partition_from_dict(json.load(fh))
-    seed = args.seed if args.seed is not None else 0
-    written = render_network(network, partition, out, seed=seed)
-    print(f"wrote {len(written)} SVG files to {out}")
-    return EXIT_OK
-
-
 def cmd_export(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     with open(args.network, "r", encoding="utf-8") as fh:
@@ -192,12 +179,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="trace JSON from a previous select run")
     common(p)
     p.set_defaults(run=cmd_evaluate)
-
-    p = sub.add_parser("render", help="community-colored SVG per layer")
-    p.add_argument("network", help="network artifact JSON")
-    p.add_argument("partition", help="partition artifact JSON")
-    common(p)
-    p.set_defaults(run=cmd_render)
 
     p = sub.add_parser("export", help="export network to GraphML")
     p.add_argument("network", help="network artifact JSON")

@@ -82,6 +82,8 @@ class LeidenConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.theta >= 0:
             raise ValueError(f"theta must be non-negative, got {self.theta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be at least 1, got {self.max_passes}")
 
@@ -371,8 +373,10 @@ def _local_move(
                 if score > best_score + _GAIN_TOL:
                     best_comm = cand
                     best_score = score
-        # a fresh singleton community scores zero; take it when leaving wins
-        if 0.0 > best_score + _GAIN_TOL:
+        # a fresh singleton community scores zero; take it when leaving wins,
+        # unless v is alone already: then only float drift can score that
+        # relabelling, and with heavy edges such moves cycled without end
+        if 0.0 > best_score + _GAIN_TOL and size[current] > 1:
             best_comm = next_id
             best_score = 0.0
             next_id += 1
@@ -576,13 +580,22 @@ def _assignment(supra: SupraGraph, labels: np.ndarray) -> dict[NodeRef, int]:
     return dict(zip(supra.vertices, labels.tolist()))
 
 
+def _finite(quality: float, gamma: float) -> float:
+    """``quality``, refused when a huge gamma has made it inf or NaN."""
+    if not math.isfinite(quality):
+        raise ArithmeticError(f"modularity is {quality} at leiden.gamma = {gamma}")
+    return quality
+
+
 def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResult:
     """Detect communities; deterministic for a fixed (graph, config) pair.
 
     The returned quality always equals ``multislice_modularity`` of the
     returned partition, every community induces a connected subgraph, and
     the per-pass history is non-decreasing. Communities are numbered
-    0..k-1 in order of their first vertex in ``supra.vertices``.
+    0..k-1 in order of their first vertex in ``supra.vertices``. A
+    singleton or pass quality that is not finite raises ``ArithmeticError``
+    before the next pass runs.
     """
     if supra.vertex_count == 0:
         raise ValueError("graph has no vertices")
@@ -605,13 +618,14 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
     # a move changes Q by its gain / mu; refinement and aggregation keep the
     # partition, so each pass's quality follows from the singletons' quality
     q = multislice_modularity(supra, _assignment(supra, comm), cfg.gamma)
+    q = _finite(q, cfg.gamma)
     history: list[float] = []
 
     for _ in range(cfg.max_passes):
         moves, gain, comm_strengths, next_id = _local_move(
             level, comm, comm_strengths, next_id, cfg.gamma, inv, rng
         )
-        q += gain / mu
+        q = _finite(q + gain / mu, cfg.gamma)
         history.append(q)
 
         refined = _refine(level, comm, cfg.gamma, cfg.theta, mu, inv, rng)

@@ -75,6 +75,10 @@ class SweepConfig:
         for r in self.grid:
             if not 0.0 < r < 1.0:
                 raise ValueError(f"missingness ratios must be in (0, 1), got {r}")
+        if self.master_seed < 0:
+            raise ValueError(
+                f"master_seed must be non-negative, got {self.master_seed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,8 @@ class RegressionConfig:
     def __post_init__(self) -> None:
         if self.folds < 2:
             raise ValueError(f"need at least 2 folds, got {self.folds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.lambda_grid:
             raise ValueError("lambda grid must not be empty")
         if not all(l > 0 for l in self.lambda_grid):

@@ -426,8 +426,9 @@ def reference_local_move(
             if cand != current and score > best_score + _GAIN_TOL:
                 best_comm = cand
                 best_score = score
-        # a fresh singleton community scores zero; take it when leaving wins
-        if 0.0 > best_score + _GAIN_TOL:
+        # a fresh singleton community scores zero; take it when leaving wins,
+        # unless the vertex is alone already
+        if 0.0 > best_score + _GAIN_TOL and np.count_nonzero(comm == current) > 1:
             best_comm = next_id
             best_score = 0.0
             next_id += 1

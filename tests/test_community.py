@@ -173,6 +173,34 @@ class TestLeiden:
         with pytest.raises(ValueError, match="no vertices"):
             leiden(SupraGraph(net), LeidenConfig())
 
+    def test_huge_gamma_stops_at_singleton_quality(self, monkeypatch):
+        monkeypatch.setattr(community, "_local_move", mock.Mock(side_effect=AssertionError))
+        supra = SupraGraph(two_cliques_bridged(4))
+        with pytest.raises(ArithmeticError, match="^modularity is -inf at leiden.gamma = 1e"):
+            leiden(supra, LeidenConfig(gamma=1e308))
+
+    def test_non_finite_pass_quality_stops_before_next_pass(self, monkeypatch):
+        calls = []
+
+        def overflowing(level, comm, strengths, next_id, *rest):
+            calls.append(level.n)
+            return 1, float("inf"), strengths, next_id
+
+        monkeypatch.setattr(community, "_local_move", overflowing)
+        with pytest.raises(ArithmeticError, match="^modularity is inf at leiden.gamma = 1.0$"):
+            leiden(SupraGraph(two_cliques_bridged(4)), LeidenConfig())
+        assert calls == [8]
+
+    def test_heavy_edges_beside_a_light_one_terminate(self):
+        # tie-sized strengths drift by more than the gain tolerance; a lone
+        # vertex that takes a fresh community on that drift wakes the hub,
+        # which moves on drift too, round after round
+        edges = [("a", "b", 0.14143645850966013), ("b", "q", 5e8), ("b", "z", 5e8)]
+        net = mln_from_edges({"D": edges})
+        result = leiden(SupraGraph(net), LeidenConfig(gamma=1.7, seed=0))
+        # communities of a, b, q and z
+        assert list(result.partition.assignment.values()) == [0, 1, 2, 1]
+
     def test_reported_quality_self_consistent(self):
         net = two_cliques_bridged(4)
         supra = SupraGraph(net)
@@ -539,6 +567,18 @@ class TestPhasesMatchReference:
             )
             assert labels[0] == 3 and labels[1] == labels[2] == 0
             assert (moves, next_id) == (1, 4)
+
+    def test_vertex_already_alone_never_opens_a_fresh_community(self):
+        # vertex 0 is alone, but its community's strength keeps drift from
+        # members that left, so staying scores just below a fresh community
+        level = self.one_layer_level([(1, 2, 1.0)], [2.0, 1.0, 1.0])
+        comm = np.array([0, 1, 1])
+        strengths = np.array([[2.0 + 1e-6, 2.0, 0.0]])
+        (moves, _, _, next_id), labels = assert_move_matches_reference(
+            level, comm, strengths, 3, 1.0, [0.25], np.random.default_rng(0)
+        )
+        assert (moves, next_id) == (0, 3)
+        assert labels.tolist() == [0, 1, 1]
 
     def test_negative_strength_of_a_community_with_members(self):
         # vertex 0 alone links to community 1 by less than the tolerance; a

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cobalt import cli
 from cobalt import io as cio
 from cobalt.community import LeidenConfig
-from cobalt.config import PruningConfig
+from cobalt.config import PruningConfig, RegressionConfig, SweepConfig
 from cobalt.model import MultiLayerNetwork, NodeRef, Partition, ScoreTable
 
 from _support import halves_and_parity_table, mln_from_edges, read_graphml, write_score_csv
@@ -618,6 +619,40 @@ class TestCliConfigRules:
         with pytest.raises(ValueError, match="must be"):
             make()
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: LeidenConfig(seed=-1), "seed"),
+            (lambda: SweepConfig(master_seed=-1), "master_seed"),
+            (lambda: RegressionConfig(seed=-1), "seed"),
+        ],
+        ids=["leiden", "sweep", "regression"],
+    )
+    def test_library_config_rejects_negative_seed(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+            make()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_negative_seed_flag_exits_two_before_any_work(self, command, tmp_path, capsys):
+        argv = [command, *self.INPUTS[command], "--seed", "-1"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_huge_gamma_exits_three_naming_it_without_warnings(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"leiden": {"gamma": 1e308}}')
+        out = tmp_path / "out"
+        argv = ["select", *self.INPUTS["select"], "--config", str(config)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv + ["--out-dir", str(out)])
+        assert code == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err == "numerical failure: modularity is -inf at leiden.gamma = 1e+308\n"
+        assert list(out.iterdir()) == []
+
 
 class TestCliMalformedArtifacts:
     # a trace iteration with every field but "cost"
@@ -705,54 +740,6 @@ class TestCliRenderExport:
         assert cli.main(["build", csv_path, "--out-dir", str(sel)]) == 0
         return sel
 
-    def test_render_writes_svg_per_layer(self, tmp_path, capsys):
-        sel = self._build_artifacts(tmp_path)
-        out = tmp_path / "figs"
-        code = cli.main(
-            [
-                "render",
-                str(sel / "network.json"),
-                str(sel / "partition_iter03.json"),
-                "--out-dir",
-                str(out),
-                "--seed",
-                "1",
-            ]
-        )
-        assert code == 0
-        svgs = sorted(out.glob("*.svg"))
-        assert [p.name for p in svgs] == ["layer_A.svg", "layer_B.svg", "layer_C.svg"]
-        text = svgs[0].read_text()
-        assert text.startswith("<?xml")
-        assert "<svg" in text
-
-    def test_same_community_same_color_across_layers(self, tmp_path, capsys):
-        sel = self._build_artifacts(tmp_path)
-        out = tmp_path / "figs"
-        cli.main(
-            [
-                "render",
-                str(sel / "network.json"),
-                str(sel / "partition_iter03.json"),
-                "--out-dir",
-                str(out),
-            ]
-        )
-        partition = cio.partition_from_dict(
-            json.loads((sel / "partition_iter03.json").read_text())
-        )
-        from cobalt.render import community_color
-
-        for layer in ("A", "B", "C"):
-            text = (out / f"layer_{layer}.svg").read_text()
-            fills = set(re.findall(r'fill="(#[0-9a-f]{6})"', text))
-            expected = {
-                community_color(c)[0]
-                for n, c in partition.assignment.items()
-                if n.layer == layer
-            }
-            assert fills == expected
-
     def test_export_graphml_round_trip_via_cli(self, tmp_path, capsys):
         sel = self._build_artifacts(tmp_path)
         out = tmp_path / "exp"
@@ -780,3 +767,9 @@ class TestCliRenderExport:
             "intra": dict(original.intra_edges),
             "inter": dict(original.inter_edges),
         }
+
+
+def test_parser_offers_exactly_the_five_commands():
+    parser = cli._parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["build", "select", "sweep", "evaluate", "export"]

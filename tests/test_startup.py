@@ -48,7 +48,6 @@ tables = [f"{case}/scores.csv", f"{case}/covariates.csv", f"{case}/targets.csv"]
 runs = {
     "select": ["select", network],
     "evaluate": ["evaluate", *tables, "--trace", f"{selected}/trace.json"],
-    "render": ["render", network, f"{selected}/partition_iter03.json"],
     "export": ["export", network, "--partition", f"{selected}/partition_iter03.json"],
     "build": ["build", tables[0]],
 }
@@ -64,7 +63,6 @@ def test_only_filtering_commands_import_scipy(tmp_path):
     assert results == [
         "select 0 False",
         "evaluate 0 False",
-        "render 0 False",
         "export 0 False",
         "build 0 True",
     ]
