@@ -632,7 +632,7 @@ class TestCliConfigRules:
         with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
             make()
 
-    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("command", ["evaluate", "select", "sweep"])
     def test_negative_seed_flag_exits_two_before_any_work(self, command, tmp_path, capsys):
         argv = [command, *self.INPUTS[command], "--seed", "-1"]
         assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
@@ -768,8 +768,27 @@ class TestCliRenderExport:
             "inter": dict(original.inter_edges),
         }
 
+    def test_render_is_not_a_command(self, tmp_path, capsys):
+        sel = self._build_artifacts(tmp_path)
+        out = tmp_path / "render"
+        argv = ["render", str(sel / "network.json"), str(sel / "partition_iter03.json")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'render'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_parser_offers_exactly_the_five_commands():
     parser = cli._parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == ["build", "select", "sweep", "evaluate", "export"]
+
+
+def test_no_module_names_the_deleted_renderer():
+    src = Path(cli.__file__).parent
+    assert not (src / "render.py").exists()
+    assert not (src / "layout.py").exists()
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"\brender\b|\bfr_layout\b", text), path.name
