@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from . import io as cio
 from .config import PipelineConfig
@@ -43,6 +44,12 @@ def _load_table(path: str) -> ScoreTable:
     return table
 
 
+def _read_artifact(path: str, reader: Callable[[Any], Any]) -> Any:
+    """``reader`` applied to the JSON document at ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return reader(json.load(fh))
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     """The output directory, created before any work so a bad one fails fast."""
     out = Path(args.out_dir)
@@ -73,11 +80,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     config = _load_config(args)
-    source = Path(args.scores)
-    if source.suffix == ".json":
+    if Path(args.scores).suffix == ".json":
         # a pruned network artifact carries everything selection needs
-        with open(source, "r", encoding="utf-8") as fh:
-            pruned = cio.network_from_dict(json.load(fh))
+        pruned = _read_artifact(args.scores, cio.network_from_dict)
         init = initialize(pruned, config)
         trace = cobalt_select(
             pruned, init, config.leiden, stopping=config.selector.stopping
@@ -118,8 +123,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     covariates = cio.read_covariates(args.covariates)
     targets = cio.read_targets(args.targets)
     if args.trace:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            trace = cio.trace_from_dict(json.load(fh))
+        trace = _read_artifact(args.trace, cio.trace_from_dict)
     else:
         trace = run_selection(table, config)
     for layer in table.layers:
@@ -134,12 +138,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    with open(args.network, "r", encoding="utf-8") as fh:
-        network = cio.network_from_dict(json.load(fh))
+    network = _read_artifact(args.network, cio.network_from_dict)
     partition = None
     if args.partition:
-        with open(args.partition, "r", encoding="utf-8") as fh:
-            partition = cio.partition_from_dict(json.load(fh))
+        partition = _read_artifact(args.partition, cio.partition_from_dict)
     cio.export_graphml(network, partition, out / "network.graphml")
     print(f"wrote {out / 'network.graphml'}")
     return EXIT_OK

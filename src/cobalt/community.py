@@ -51,13 +51,14 @@ every candidate, to the bit.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .model import MultiLayerNetwork, NodeRef, Partition, layer_name_rank
+from .model import MultiLayerNetwork, NodeRef, Partition, layer_name_rank, layer_subset
 
 _GAIN_TOL = 1e-12
 
@@ -67,7 +68,7 @@ class LeidenConfig:
     """Hyperparameters of one detection run.
 
     gamma: resolution of the per-layer null model.
-    theta: refinement randomness; 0 makes refinement greedy.
+    theta: refinement randomness, 0 (greedy) or at least ``sys.float_info.min``.
     seed: drives vertex visit order and refinement sampling.
     max_passes: hard cap on move/refine/aggregate passes.
     """
@@ -80,8 +81,12 @@ class LeidenConfig:
     def __post_init__(self) -> None:
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.theta >= 0:
-            raise ValueError(f"theta must be non-negative, got {self.theta}")
+        # a refinement score is at most mu: only a subnormal theta overflows
+        # raw / mu / theta
+        if not (self.theta == 0.0 or self.theta >= sys.float_info.min):
+            raise ValueError(
+                f"leiden.theta must be 0 or at least {sys.float_info.min}, got {self.theta}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_passes < 1:
@@ -157,12 +162,7 @@ class SupraGraph:
         Equal, array for array, to ``SupraGraph(mln.subnetwork(layers))`` for
         the network this graph was built from, without rebuilding it.
         """
-        chosen = tuple(layers)
-        missing = [l for l in chosen if l not in self.layers]
-        if missing:
-            raise ValueError(f"unknown layers {missing}")
-        if len(set(chosen)) != len(chosen):
-            raise ValueError("duplicate layer in network")
+        chosen = layer_subset(self.layers, layers)
         old = np.array([self.layers.index(l) for l in chosen], dtype=np.int64)
         # vertices of one layer are contiguous, and so are their rows
         bounds = np.searchsorted(self.layer_of, np.arange(len(self.layers) + 1))
@@ -243,7 +243,7 @@ class LeidenResult:
     history: tuple[float, ...]
 
 
-class _Level:
+class _Level(NamedTuple):
     """One aggregation level: super-vertices with merged CSR adjacency.
 
     ``strengths[layer, v]`` is super-vertex v's strength in each layer.
@@ -251,30 +251,27 @@ class _Level:
     appearance among its members; null scores add them in that order.
     """
 
-    __slots__ = ("n", "indptr", "indices", "weights", "strengths", "terms")
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    strengths: np.ndarray
+    terms: list[list[tuple[int, float]]]
 
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        strengths: np.ndarray,
-        terms: list[list[tuple[int, float]]],
-    ):
-        self.n = len(terms)
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        self.strengths = strengths
-        self.terms = terms
+    @property
+    def n(self) -> int:
+        return len(self.terms)
 
 
-def _level_zero(supra: SupraGraph) -> _Level:
-    n = supra.vertex_count
-    strengths = np.zeros((len(supra.layers), n))
-    strengths[supra.layer_of, np.arange(n)] = supra.strength
-    terms = [[pair] for pair in zip(supra.layer_of.tolist(), supra.strength.tolist())]
-    return _Level(supra.indptr, supra.indices, supra.weights, strengths, terms)
+def _level(
+    adjacency: tuple, t_ptr: np.ndarray, t_layers: np.ndarray, t_k: np.ndarray, n_layers: int
+) -> _Level:
+    """Level over CSR ``adjacency`` (indptr, indices, weights); row v of the
+    CSR ``t_ptr``, ``t_layers``, ``t_k`` holds vertex v's (layer, strength) terms."""
+    n = len(t_ptr) - 1
+    strengths = np.zeros((n_layers, n))
+    strengths[t_layers, np.repeat(np.arange(n), np.diff(t_ptr))] = t_k
+    pairs, bounds = list(zip(t_layers.tolist(), t_k.tolist())), t_ptr.tolist()
+    return _Level(*adjacency, strengths, [pairs[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
 def _null_scores(
@@ -521,9 +518,7 @@ def _aggregate(
 
     keys = np.repeat(sv * n_new, np.diff(level.indptr)) + sv[level.indices]
     between = keys // n_new != keys % n_new
-    indptr, indices, weights = _merge_rows(
-        keys[between], level.weights[between], n_new, n_new
-    )
+    adjacency = _merge_rows(keys[between], level.weights[between], n_new, n_new)
 
     n_layers = level.strengths.shape[0]
     pairs = [pair for terms in level.terms for pair in terms]
@@ -534,13 +529,7 @@ def _aggregate(
         n_new,
         n_layers,
     )
-    strengths = np.zeros((n_layers, n_new))
-    strengths[t_layers, np.repeat(np.arange(n_new), np.diff(t_ptr))] = t_k
-    layer_list, k_list, bounds = t_layers.tolist(), t_k.tolist(), t_ptr.tolist()
-    terms = [
-        list(zip(layer_list[a:b], k_list[a:b])) for a, b in zip(bounds, bounds[1:])
-    ]
-    return _Level(indptr, indices, weights, strengths, terms), new_comm, sv
+    return _level(adjacency, t_ptr, t_layers, t_k, n_layers), new_comm, sv
 
 
 def _community_strengths(level: _Level, comm: np.ndarray, size: int) -> np.ndarray:
@@ -610,7 +599,9 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
     inv_layer_weight[nonzero] = 1.0 / supra.layer_weight[nonzero]
     inv = inv_layer_weight.tolist()
 
-    level = _level_zero(supra)
+    # every vertex has one term, its own layer and strength
+    terms = (np.arange(supra.vertex_count + 1), supra.layer_of, supra.strength)
+    level = _level((supra.indptr, supra.indices, supra.weights), *terms, len(supra.layers))
     comm = np.arange(level.n)
     comm_strengths = level.strengths.copy()
     next_id = level.n

@@ -3,6 +3,7 @@
 Partitions may cover different node sets; a ground-truth community whose
 members do not appear in the other partition at all simply contributes zero
 precision and zero recall while still counting toward the macro average.
+So two partitions that share no element, or with an empty side, score 0.0.
 Matching is by maximum overlap, never by community label, because labels are
 arbitrary across independent detection runs.
 """
@@ -10,10 +11,6 @@ arbitrary across independent detection runs.
 from __future__ import annotations
 
 from typing import Hashable, Mapping
-
-
-class DisjointPartitionsError(ValueError):
-    """The two partitions share no elements, similarity is undefined."""
 
 
 def _canonical_communities(partition: Mapping[Hashable, int]) -> list[set]:
@@ -33,13 +30,6 @@ def _canonical_communities(partition: Mapping[Hashable, int]) -> list[set]:
     return [groups[label] for label in sorted(order, key=order.get)]
 
 
-def _require_shared(p_gt: Mapping, p_sys: Mapping) -> None:
-    if not p_gt or not p_sys:
-        raise DisjointPartitionsError("empty partition")
-    if not set(p_gt) & set(p_sys):
-        raise DisjointPartitionsError("partitions share no elements")
-
-
 def one_way_f(
     p_gt: Mapping[Hashable, int], p_sys: Mapping[Hashable, int]
 ) -> tuple[float, float, float]:
@@ -49,31 +39,27 @@ def one_way_f(
     largest overlap (ties broken toward the smaller canonical id). Precision
     is overlap over the matched community's size, recall is overlap over the
     ground-truth community's size; both are zero when nothing overlaps.
-    Macro averages are unweighted over ground-truth communities.
+    Macro averages are unweighted over ground-truth communities, and an
+    empty ground truth scores zero.
     """
-    _require_shared(p_gt, p_sys)
+    if not p_gt:
+        return 0.0, 0.0, 0.0
     gt_groups = _canonical_communities(p_gt)
     sys_groups = _canonical_communities(p_sys)
 
-    precisions: list[float] = []
-    recalls: list[float] = []
+    precision = recall = 0.0
     for g in gt_groups:
-        best_overlap = 0
-        best_size = 0
+        # no overlap at all leaves 0 / 1: zero precision and zero recall
+        overlap, size = 0, 1
         for s in sys_groups:
-            overlap = len(g & s)
-            if overlap > best_overlap:
-                best_overlap = overlap
-                best_size = len(s)
-        if best_overlap == 0:
-            precisions.append(0.0)
-            recalls.append(0.0)
-        else:
-            precisions.append(best_overlap / best_size)
-            recalls.append(best_overlap / len(g))
+            shared = len(g & s)
+            if shared > overlap:
+                overlap, size = shared, len(s)
+        precision += overlap / size
+        recall += overlap / len(g)
 
-    macro_p = sum(precisions) / len(precisions)
-    macro_r = sum(recalls) / len(recalls)
+    macro_p = precision / len(gt_groups)
+    macro_r = recall / len(gt_groups)
     return macro_p, macro_r, _harmonic(macro_p, macro_r)
 
 

@@ -511,9 +511,20 @@ def export_graphml(
 ) -> None:
     """Write the network (and optional community ids) as attributed GraphML.
 
-    Weights carry 17 significant digits, so a GraphML reader gets them
-    back bit-exact.
+    With a partition, only the layers it covers are written, so the
+    partition of an early selection iteration exports its own subnetwork.
+    It must then assign exactly the vertices of those layers. Weights carry
+    17 significant digits, so a GraphML reader gets them back bit-exact.
     """
+    if partition is not None:
+        covered = {node.layer for node in partition.assignment}
+        network = network.subnetwork(l for l in network.layers if l in covered)
+        unknown = partition.assignment.keys() - network.nodes
+        if unknown:
+            raise ValueError(f"partition names vertex {min(unknown)}, which the network lacks")
+        unassigned = network.nodes - partition.assignment.keys()
+        if unassigned:
+            raise ValueError(f"partition gives vertex {min(unassigned)} no community")
     lines = [
         '<?xml version="1.0" encoding="utf-8"?>',
         f'<graphml xmlns="{_GRAPHML_NS}">',

@@ -95,6 +95,18 @@ def layer_name_rank(layers: Sequence[str]) -> np.ndarray:
     return np.array([sorted(layers).index(layer) for layer in layers], dtype=np.int64)
 
 
+def layer_subset(layers: Sequence[str], chosen: Iterable[str]) -> tuple[str, ...]:
+    """``chosen`` as a tuple, refused if it names a layer outside ``layers``
+    or names one twice."""
+    chosen = tuple(chosen)
+    missing = [l for l in chosen if l not in layers]
+    if missing:
+        raise ValueError(f"unknown layers {missing}")
+    if len(set(chosen)) != len(chosen):
+        raise ValueError("duplicate layer in network")
+    return chosen
+
+
 def vertex_order(layers: Sequence[str], nodes: Iterable[NodeRef]) -> tuple[NodeRef, ...]:
     """``nodes`` ordered by layer (in ``layers`` order), then by entity name."""
     layer_index = {layer: i for i, layer in enumerate(layers)}
@@ -184,10 +196,7 @@ class MultiLayerNetwork:
 
     def subnetwork(self, layers: Iterable[str]) -> "MultiLayerNetwork":
         """Induced network on ``layers`` (order taken from the argument)."""
-        chosen = tuple(layers)
-        missing = [l for l in chosen if l not in self.layers]
-        if missing:
-            raise ValueError(f"unknown layers {missing}")
+        chosen = layer_subset(self.layers, layers)
         kept = [n for n in self.vertices if n.layer in chosen]
         index = {n: i for i, n in enumerate(vertex_order(chosen, kept))}
         new_id = np.array([index.get(n, -1) for n in self.vertices], dtype=np.int64)

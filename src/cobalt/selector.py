@@ -107,15 +107,6 @@ def project_partition(
     return projected
 
 
-def community_similarity(
-    p_inc: Mapping[str, int], p_cand: Mapping[str, int]
-) -> float:
-    """Bidirectional F-measure of two entity-level partitions; 0 if disjoint."""
-    if not set(p_inc) & set(p_cand):
-        return 0.0
-    return bidirectional_f(p_inc, p_cand)
-
-
 def layer_cost(
     incumbent_entities: set[str],
     candidate_entities: set[str],
@@ -125,7 +116,7 @@ def layer_cost(
 ) -> LayerCostBreakdown:
     """Full cost breakdown of one candidate; zero availability prices it out."""
     availability = availability_ratio(incumbent_entities, candidate_entities)
-    similarity = community_similarity(p_inc, p_cand)
+    similarity = bidirectional_f(p_inc, p_cand)
     cost = math.inf if availability == 0.0 else 1.0 / availability + similarity
     return LayerCostBreakdown(layer, availability, similarity, cost)
 

@@ -1,4 +1,9 @@
 import copy
+import json
+import math
+import sys
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +17,7 @@ from cobalt.community import (
     leiden,
     multislice_modularity,
 )
+from cobalt.io import network_from_dict
 from cobalt.model import MultiLayerNetwork, NodeRef
 
 from _support import (
@@ -178,6 +184,32 @@ class TestLeiden:
         supra = SupraGraph(two_cliques_bridged(4))
         with pytest.raises(ArithmeticError, match="^modularity is -inf at leiden.gamma = 1e"):
             leiden(supra, LeidenConfig(gamma=1e308))
+
+    @pytest.mark.parametrize(
+        "theta", [5e-324, 1e-320, math.nextafter(sys.float_info.min, 0.0), -1e-300]
+    )
+    def test_theta_must_be_zero_or_normal(self, theta):
+        with pytest.raises(ValueError, match=r"^leiden.theta must be 0 or at least 2\.2\d*e-308"):
+            LeidenConfig(theta=theta)
+
+    def test_smallest_normal_theta_draws_on_finite_odds(self, monkeypatch):
+        # a refinement score is at most mu, so raw / mu / theta stays below
+        # 1 / sys.float_info.min, which is finite
+        draws, real_draw = [], community._draw
+
+        def spy(probs, rng):
+            draws.append(probs)
+            return real_draw(probs, rng)
+
+        monkeypatch.setattr(community, "_draw", spy)
+        golden = Path(__file__).parent / "golden" / "planted" / "expected" / "build"
+        network = network_from_dict(json.loads((golden / "network.json").read_text()))
+        supra = SupraGraph(network)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = leiden(supra, LeidenConfig(theta=sys.float_info.min, seed=0))
+        assert draws and all(np.isfinite(p).all() for p in draws)
+        assert result.quality == multislice_modularity(supra, result.partition)
 
     def test_non_finite_pass_quality_stops_before_next_pass(self, monkeypatch):
         calls = []

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobalt.compare import DisjointPartitionsError, bidirectional_f, one_way_f
+from cobalt.compare import bidirectional_f, one_way_f
 
 # Two partitions over partially overlapping node sets. The first groups
 # {pi, pj} together plus a singleton; the second keeps pi alone and holds two
@@ -40,9 +40,12 @@ class TestOneWayF:
         part = {"a": 0, "b": 0, "c": 1, "d": 2}
         assert one_way_f(part, part) == (1.0, 1.0, 1.0)
 
-    def test_disjoint_raises(self):
-        with pytest.raises(DisjointPartitionsError):
-            one_way_f({"a": 0}, {"b": 0})
+    def test_shares_no_element_is_zero(self):
+        assert one_way_f({"a": 0}, {"b": 0}) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("p_gt, p_sys", [({}, {"a": 0}), ({"a": 0}, {}), ({}, {})])
+    def test_empty_side_is_zero(self, p_gt, p_sys):
+        assert one_way_f(p_gt, p_sys) == (0.0, 0.0, 0.0)
 
     def test_tie_goes_to_smaller_canonical_id(self):
         # gt community {a, b} overlaps both system singletons equally; the
@@ -84,19 +87,27 @@ class TestBidirectionalF:
         part = {"a": 0, "b": 1, "c": 0}
         assert bidirectional_f(part, part) == 1.0
 
-    def test_zero_direction_zeroes_the_mean(self):
-        # no overlap in community terms is impossible once elements are
-        # shared, so force one direction to zero via all-zero macro values
+    def test_shares_no_element_is_zero(self):
+        # every community of either side overlaps nothing of the other, so
+        # both directions score zero and so does their harmonic mean
         a = {"x": 0, "q1": 1}
         b = {"y": 0, "q2": 1}
-        with pytest.raises(DisjointPartitionsError):
-            bidirectional_f(a, b)
+        assert bidirectional_f(a, b) == 0.0
+        assert bidirectional_f({"a": 0}, {"b": 0}) == 0.0
+
+    @pytest.mark.parametrize("a, b", [({}, {"a": 0, "b": 1}), ({"a": 0}, {})])
+    def test_empty_side_is_zero(self, a, b):
+        assert bidirectional_f(a, b) == bidirectional_f(b, a) == 0.0
+
+    @given(small_partitions, small_partitions)
+    def test_disjoint_partitions_score_zero_in_both_orders(self, a, b):
+        b = {f"other_{k}": v for k, v in b.items()}
+        assert bidirectional_f(a, b) == 0.0
+        assert bidirectional_f(b, a) == 0.0
 
     @given(small_partitions, small_partitions)
     @settings(max_examples=150)
     def test_symmetry_and_range(self, a, b):
-        if not set(a) & set(b):
-            return
         f_ab = bidirectional_f(a, b)
         f_ba = bidirectional_f(b, a)
         assert f_ab == pytest.approx(f_ba, abs=1e-12)
@@ -109,8 +120,6 @@ class TestBidirectionalF:
     @given(small_partitions, small_partitions, st.permutations(list(range(4))))
     @settings(max_examples=150)
     def test_label_invariance(self, a, b, perm):
-        if not set(a) & set(b):
-            return
         relabeled = {k: perm[v] for k, v in a.items()}
         assert bidirectional_f(a, b) == pytest.approx(
             bidirectional_f(relabeled, b), abs=1e-12

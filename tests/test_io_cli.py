@@ -478,7 +478,8 @@ class TestCliEvaluate:
         assert "no targets for layer 'C'" in err
 
 
-PLANTED = Path(__file__).parent / "golden" / "planted"
+GOLDEN = Path(__file__).parent / "golden"
+PLANTED = GOLDEN / "planted"
 
 
 def planted_copy(tmp_path: Path, name: str, edit) -> list[str]:
@@ -639,6 +640,22 @@ class TestCliConfigRules:
         assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_subnormal_theta_exits_two_naming_it_under_warnings_as_errors(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"leiden": {"theta": 1e-320}}')
+        out = tmp_path / "out"
+        argv = ["select", *self.INPUTS["select"], "--config", str(config)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv + ["--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: leiden.theta must be 0 or at least 2.2")
+        assert err.endswith(", got 1e-320\n")
+        assert list(out.iterdir()) == []
+
     def test_huge_gamma_exits_three_naming_it_without_warnings(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text('{"leiden": {"gamma": 1e308}}')
@@ -767,6 +784,70 @@ class TestCliRenderExport:
             "intra": dict(original.intra_edges),
             "inter": dict(original.inter_edges),
         }
+
+    @pytest.mark.parametrize("case", ["planted", "tied_missing", "near_tie"])
+    @pytest.mark.parametrize("source", ["select", "select_network"])
+    @pytest.mark.parametrize("iteration", [1, 2, 3])
+    def test_every_golden_partition_exports_its_layers(
+        self, case, source, iteration, tmp_path, capsys
+    ):
+        golden = GOLDEN / case / "expected"
+        part_path = golden / source / f"partition_iter{iteration:02d}.json"
+        argv = ["export", golden / "build" / "network.json", "--partition", part_path]
+        assert cli.main([str(a) for a in argv] + ["--out-dir", str(tmp_path)]) == 0
+        parsed = read_graphml(tmp_path / "network.graphml")
+        network = cio.network_from_dict(json.loads(argv[1].read_text()))
+        partition = cio.partition_from_dict(json.loads(part_path.read_text()))
+        covered = {node.layer for node in partition.assignment}
+        sub = network.subnetwork(l for l in network.layers if l in covered)
+        # every written node carries its community, in network layer order
+        assert parsed.layers == [l for l in network.layers if l in covered]
+        assert parsed.communities == dict(partition.assignment)
+        assert parsed.edges.get("intra", {}) == dict(sub.intra_edges)
+        assert parsed.edges.get("inter", {}) == dict(sub.inter_edges)
+
+    def test_full_partition_writes_the_whole_network(self, tmp_path, capsys):
+        golden = PLANTED / "expected"
+        network = str(golden / "build" / "network.json")
+        part = str(golden / "select" / "partition_iter03.json")
+        assert cli.main(["export", network, "--out-dir", str(tmp_path / "bare")]) == 0
+        assert cli.main(["export", network, "--partition", part, "--out-dir", str(tmp_path)]) == 0
+        with_part = (tmp_path / "network.graphml").read_text().splitlines()
+        bare = (tmp_path / "bare" / "network.graphml").read_text().splitlines()
+        assert sum('key="d_community"' in line for line in with_part) == 108
+        assert [l for l in with_part if 'key="d_community"' not in l] == bare
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda rows: rows.append(["ghost", "A", 0]),
+                "names vertex NodeRef(entity='ghost', layer='A'), which the network lacks",
+            ),
+            (
+                lambda rows: rows.append(["e00", "Z", 0]),
+                "names vertex NodeRef(entity='e00', layer='Z'), which the network lacks",
+            ),
+            (
+                lambda rows: rows.remove(["e00", "A", 0]),
+                "gives vertex NodeRef(entity='e00', layer='A') no community",
+            ),
+        ],
+        ids=["unknown-entity", "unknown-layer", "unassigned-vertex"],
+    )
+    def test_mismatched_partition_exits_two_naming_the_vertex(
+        self, edit, message, tmp_path, capsys
+    ):
+        golden = PLANTED / "expected"
+        raw = json.loads((golden / "select" / "partition_iter01.json").read_text())
+        edit(raw["assignment"])
+        part = tmp_path / "partition.json"
+        part.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = ["export", str(golden / "build" / "network.json"), "--partition", str(part)]
+        assert cli.main(argv + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: partition {message}\n"
+        assert list(out.iterdir()) == []
 
     def test_render_is_not_a_command(self, tmp_path, capsys):
         sel = self._build_artifacts(tmp_path)

@@ -14,7 +14,6 @@ from cobalt.selector import (
     availability_ratio,
     cobalt_init,
     cobalt_select,
-    community_similarity,
     layer_cost,
     project_partition,
     stopping_condition,
@@ -54,20 +53,6 @@ class TestProjectPartition:
     def test_single_layer_identity(self):
         assignment = {NodeRef("e", "A"): 3, NodeRef("f", "A"): 4}
         assert project_partition(assignment, ["A"]) == {"e": 3, "f": 4}
-
-
-class TestCommunitySimilarity:
-    def test_identical_partitions(self):
-        part = {"a": 0, "b": 0, "c": 1}
-        assert community_similarity(part, part) == 1.0
-
-    def test_worked_pair(self):
-        p_inc = {"pi": 0, "pj": 0, "pk": 1}
-        p_cand = {"pi": 0, "py": 1, "pz": 2}
-        assert community_similarity(p_inc, p_cand) == pytest.approx(4.0 / 15.0)
-
-    def test_no_shared_entities_is_zero(self):
-        assert community_similarity({"a": 0}, {"b": 0}) == 0.0
 
 
 class TestLayerCost:
