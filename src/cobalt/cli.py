@@ -25,13 +25,9 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    config = (
-        PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
-    )
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    return config
+def _load_config(path: str | None, seed: int | None = None) -> PipelineConfig:
+    config = PipelineConfig.from_json(path) if path else PipelineConfig()
+    return config if seed is None else config.with_seed(seed)
 
 
 def _load_table(path: str) -> ScoreTable:
@@ -67,7 +63,7 @@ def _pruning_meta(config: PipelineConfig) -> dict:
 
 def cmd_build(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    config = _load_config(args)
+    config = _load_config(args.config)
     table = _load_table(args.scores)
     network = build_pruned_network(table, config)
     cio.dump_json(
@@ -79,20 +75,18 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    config = _load_config(args)
+    config = _load_config(args.config, args.seed)
     if Path(args.scores).suffix == ".json":
-        # a pruned network artifact carries everything selection needs
-        pruned = _read_artifact(args.scores, cio.network_from_dict)
-        init = initialize(pruned, config)
-        trace = cobalt_select(
-            pruned, init, config.leiden, stopping=config.selector.stopping
-        )
+        # a pruned network artifact carries everything selection needs, and
+        # the settings of the filter that made it
+        pruned, pruning = _read_artifact(args.scores, cio.network_and_pruning)
     else:
-        table = _load_table(args.scores)
-        trace = run_selection(table, config)
+        pruned = build_pruned_network(_load_table(args.scores), config)
+        pruning = _pruning_meta(config)
+    init = initialize(pruned, config)
+    trace = cobalt_select(pruned, init, config.leiden, stopping=config.selector.stopping)
 
-    meta = dict(config.to_dict())
-    meta["pruning"] = _pruning_meta(config)
+    meta = dict(config.to_dict(), pruning=pruning)
     cio.dump_json(cio.trace_to_dict(trace, meta), out / "trace.json")
     for record in trace.records:
         payload = cio.partition_to_dict(
@@ -106,11 +100,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    config = _load_config(args)
-    table = _load_table(args.scores)
-    if not table.is_complete():
-        raise cio.InputFormatError("sweep requires a complete table (no missing cells)")
-    report = missingness_sweep(table, config)
+    config = _load_config(args.config, args.seed)
+    report = missingness_sweep(_load_table(args.scores), config)
     cio.dump_json(cio.sweep_report_to_dict(report), out / "sweep.json")
     print(f"wrote {out / 'sweep.json'}")
     return EXIT_OK
@@ -118,7 +109,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    config = _load_config(args)
+    config = _load_config(args.config, args.seed)
     table = _load_table(args.scores)
     covariates = cio.read_covariates(args.covariates)
     targets = cio.read_targets(args.targets)
@@ -154,24 +145,29 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="pipeline config JSON")
-        p.add_argument("--seed", type=int, help="override every configured seed")
-        p.add_argument("--out-dir", default="out", help="output directory")
+    flag_options = {
+        "--config": {"help": "pipeline config JSON"},
+        "--seed": {"type": int, "help": "override every configured seed"},
+        "--out-dir": {"default": "out", "help": "output directory"},
+    }
+
+    def flags(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in (*names, "--out-dir"):
+            p.add_argument(name, **flag_options[name])
 
     p = sub.add_parser("build", help="build and prune the full network")
     p.add_argument("scores", help="score CSV")
-    common(p)
+    flags(p, "--config")
     p.set_defaults(run=cmd_build)
 
     p = sub.add_parser("select", help="run iterative layer selection")
     p.add_argument("scores", help="score CSV, or a pruned network artifact JSON")
-    common(p)
+    flags(p, "--config", "--seed")
     p.set_defaults(run=cmd_select)
 
     p = sub.add_parser("sweep", help="missingness robustness sweep")
     p.add_argument("scores", help="complete score CSV")
-    common(p)
+    flags(p, "--config", "--seed")
     p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("evaluate", help="baseline vs community regression")
@@ -179,13 +175,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("covariates", help="covariates CSV (entity,age,gender)")
     p.add_argument("targets", help="post-treatment targets CSV")
     p.add_argument("--trace", help="trace JSON from a previous select run")
-    common(p)
+    flags(p, "--config", "--seed")
     p.set_defaults(run=cmd_evaluate)
 
     p = sub.add_parser("export", help="export network to GraphML")
     p.add_argument("network", help="network artifact JSON")
     p.add_argument("--partition", help="partition artifact JSON")
-    common(p)
+    flags(p)
     p.set_defaults(run=cmd_export)
     return parser
 

@@ -319,9 +319,14 @@ def _local_move(
     indices, weights = level.indices, level.weights
     queue = deque(rng.permutation(level.n).tolist())
     queued = np.ones(level.n, dtype=bool)
-    self_null = [
-        sum(k * k * inv_layer_weight[layer] for layer, k in terms) for terms in level.terms
-    ]
+    # terms added left to right, as stay_null is below: the builtin sum of
+    # Python 3.12 and later compensates, and would give other bits
+    self_null = []
+    for terms in level.terms:
+        null = 0.0
+        for layer, k in terms:
+            null = null + k * k * inv_layer_weight[layer]
+        self_null.append(null)
     size = np.bincount(comm, minlength=comm_strengths.shape[1])
     below_zero = (comm_strengths < 0.0).any(axis=0)
     negative = set(np.flatnonzero((size > 0) & below_zero).tolist())

@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Any
 
 from .community import LeidenConfig
+from .pruning import check_alpha
 from .selector import STOPPING_MODES
 
 DEFAULT_SWEEP_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -51,8 +52,7 @@ class PruningConfig:
     quantization: float = 1000.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if not self.quantization > 0.0:
             raise ValueError(f"quantization must be positive, got {self.quantization}")
 

@@ -107,7 +107,7 @@ def missingness_sweep(
     pipeline fails outright) is marked failed and the sweep continues.
     """
     if not table.is_complete():
-        raise ValueError("missingness sweep requires a complete table")
+        raise ValueError("missingness sweep requires a complete table (no missing cells)")
     ratios, base_seed = config.sweep.grid, config.sweep.master_seed
 
     # selection in NONE mode: the sweep observes every iteration

@@ -14,12 +14,13 @@ import itertools
 import json
 import math
 import operator
+from dataclasses import asdict, astuple
 from pathlib import Path
 from typing import Any, TextIO
 
 import numpy as np
 
-from .evaluation import MissingnessSweepReport, RegressionReport, SweepEntry
+from .evaluation import MissingnessSweepReport, RegressionReport
 from .model import (
     CovariateTable,
     EdgeArrays,
@@ -209,8 +210,9 @@ def _indented(value: Any, depth: int) -> str:
     return _SCALAR(value)
 
 
-def _json_safe(value: float) -> float | str | None:
-    if value is None or math.isfinite(value):
+def _json_safe(value: Any) -> Any:
+    """``value``, with a non-finite float spelled as a string."""
+    if not isinstance(value, float) or math.isfinite(value):
         return value
     if math.isnan(value):
         return "nan"
@@ -345,14 +347,24 @@ def network_from_dict(raw: Any) -> MultiLayerNetwork:
     return MultiLayerNetwork(layers, nodes, intra, inter)
 
 
+def network_and_pruning(raw: Any) -> tuple[MultiLayerNetwork, dict | None]:
+    """The network of a network artifact, and its ``pruning`` block: the
+    settings of the filter that made it, or ``None`` where they are unknown."""
+    network = network_from_dict(raw)
+    return network, _field(raw, "pruning", (dict, type(None)))
+
+
+def _assignment_rows(partition: Partition) -> list[list]:
+    """``[entity, layer, community]`` rows, sorted, as artifacts hold them."""
+    return sorted([n.entity, n.layer, c] for n, c in partition.assignment.items())
+
+
 def partition_to_dict(partition: Partition, extra: dict | None = None) -> dict:
     payload = {
         "format": "cobalt-partition",
         "version": 1,
         "quality": partition.quality,
-        "assignment": sorted(
-            [n.entity, n.layer, c] for n, c in partition.assignment.items()
-        ),
+        "assignment": _assignment_rows(partition),
     }
     if extra:
         payload.update(extra)
@@ -361,7 +373,10 @@ def partition_to_dict(partition: Partition, extra: dict | None = None) -> dict:
 
 def partition_from_dict(raw: Any) -> Partition:
     raw = _artifact(raw, "partition")
-    return Partition(_assignment(raw, "assignment"), _field(raw, "quality", _NUMBER))
+    assignment = _assignment(raw, "assignment")
+    if not assignment:
+        raise InputFormatError("artifact field 'assignment' has no rows")
+    return Partition(assignment, _field(raw, "quality", _NUMBER))
 
 
 def _assignment(raw: dict, name: str) -> dict[NodeRef, int]:
@@ -386,10 +401,7 @@ def trace_to_dict(trace: IterationTrace, config: dict | None = None) -> dict:
                 "nodes": record.node_count,
                 "intra_edges": record.intra_edge_count,
                 "inter_edges": record.inter_edge_count,
-                "partition": sorted(
-                    [n.entity, n.layer, c]
-                    for n, c in record.partition.assignment.items()
-                ),
+                "partition": _assignment_rows(record.partition),
             }
         )
     return {
@@ -435,24 +447,20 @@ def trace_from_dict(raw: Any) -> IterationTrace:
 
 
 def sweep_report_to_dict(report: MissingnessSweepReport) -> dict:
-    def entry(e: SweepEntry) -> dict:
-        return {
-            "ratio": e.ratio,
-            "seed": e.seed,
-            "removed": list(e.removed),
-            "modularity": list(e.modularity),
-            "best_iteration": e.best_iteration,
-            "failed": e.failed,
-            "reason": e.reason,
-        }
-
     return {
         "format": "cobalt-sweep",
         "version": 1,
         "config": report.config,
-        "reference": entry(report.reference),
-        "ratios": [entry(e) for e in report.entries],
+        "reference": asdict(report.reference),
+        "ratios": [asdict(e) for e in report.entries],
     }
+
+
+# the columns of regression.json and regression.csv, one per field of
+# RegressionRow, in field order
+_REGRESSION_COLUMNS = (
+    "target", "feature_set", "model", "lambda", "mae", "mse", "r2", "folds", "n"
+)
 
 
 def regression_report_to_dict(report: RegressionReport) -> dict:
@@ -461,18 +469,7 @@ def regression_report_to_dict(report: RegressionReport) -> dict:
         "version": 1,
         "metadata": report.metadata,
         "rows": [
-            {
-                "target": r.target,
-                "feature_set": r.feature_set,
-                "model": r.model,
-                "lambda": r.best_lambda,
-                "mae": _json_safe(r.mae),
-                "mse": _json_safe(r.mse),
-                "r2": _json_safe(r.r2),
-                "folds": r.folds,
-                "n": r.n,
-            }
-            for r in report.rows
+            dict(zip(_REGRESSION_COLUMNS, map(_json_safe, astuple(r)))) for r in report.rows
         ],
     }
 
@@ -480,13 +477,8 @@ def regression_report_to_dict(report: RegressionReport) -> dict:
 def regression_report_to_csv(report: RegressionReport, target: str | Path | TextIO) -> None:
     with _open_write(target) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["target", "feature_set", "model", "lambda", "mae", "mse", "r2", "folds", "n"]
-        )
-        for r in report.rows:
-            writer.writerow(
-                [r.target, r.feature_set, r.model, r.best_lambda, r.mae, r.mse, r.r2, r.folds, r.n]
-            )
+        writer.writerow(_REGRESSION_COLUMNS)
+        writer.writerows(map(astuple, report.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +542,10 @@ def export_graphml(
             )
         lines.append("    </node>")
 
-    for kind, edges in (("intra", network.intra_edges), ("inter", network.inter_edges)):
-        for (a, b) in sorted(edges):
-            w = edges[(a, b)]
-            lines.append(f'    <edge source="{ids[a]}" target="{ids[b]}">')
+    vertex_ids = [ids[v] for v in network.vertices]
+    for kind, (a, b, weights) in (("intra", network.intra), ("inter", network.inter)):
+        for i, j, w in zip(a.tolist(), b.tolist(), weights.tolist()):
+            lines.append(f'    <edge source="{vertex_ids[i]}" target="{vertex_ids[j]}">')
             lines.append(f'      <data key="d_weight">{_float_repr(w)}</data>')
             lines.append(f'      <data key="d_kind">{kind}</data>')
             lines.append("    </edge>")

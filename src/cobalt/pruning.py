@@ -95,6 +95,12 @@ def _significant(edges: EdgeArrays, alpha: float, scale: float) -> np.ndarray:
     return keep
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a significance level outside (0, 1]; at 1 every counted edge survives."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"significance level (pruning.alpha) must be in (0, 1], got {alpha}")
+
+
 def prune_network(
     mln: MultiLayerNetwork,
     alpha: float = DEFAULT_ALPHA,
@@ -106,8 +112,7 @@ def prune_network(
     inter edges form another. Survivors keep their original (un-quantized)
     weights, and the node set is unchanged: nodes isolated by pruning stay.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"significance level must be in (0, 1], got {alpha}")
+    check_alpha(alpha)
     if not scale > 0:
         raise ValueError(f"quantization scale must be positive, got {scale}")
     kept = []

@@ -264,6 +264,29 @@ class TestLeiden:
         assert first.partition.assignment == second.partition.assignment
         assert first.quality == second.quality
 
+    def test_adds_layer_terms_without_the_builtin_sum(self, monkeypatch):
+        # the builtin sum of Python 3.12 and later compensates float error,
+        # so a vertex whose null score sums several layer terms would get
+        # other bits than on 3.11; leiden adds them left to right instead
+        net = mln_from_edges(
+            {
+                "A": clique_edges([f"a{i}" for i in range(4)]) + [("a0", "b0", 0.3)],
+                "B": clique_edges([f"a{i}" for i in range(4)], 1.7)
+                + clique_edges([f"b{i}" for i in range(3)], 0.1),
+            },
+            couplings=[(f"a{i}", "A", "B", 1.0 / 3.0) for i in range(4)],
+        )
+        supra = SupraGraph(net)
+        expected = leiden(supra, LeidenConfig(seed=4))
+
+        def no_sum(*args):
+            raise AssertionError("builtin sum called")
+
+        monkeypatch.setattr(community, "sum", no_sum, raising=False)
+        result = leiden(supra, LeidenConfig(seed=4))
+        assert result.partition.assignment == expected.partition.assignment
+        assert result.quality.hex() == expected.quality.hex()
+
     def test_every_community_connected(self):
         net = mln_from_edges(
             {

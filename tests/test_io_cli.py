@@ -262,6 +262,9 @@ class TestArtifactRows:
             message = re.escape(f"ill-typed entry {bad[0]!r}")
             with pytest.raises(cio.InputFormatError, match=message):
                 cio.partition_from_dict(raw)
+        elif not rows:
+            with pytest.raises(cio.InputFormatError, match="'assignment' has no rows"):
+                cio.partition_from_dict(raw)
         else:
             assignment = cio.partition_from_dict(raw).assignment
             assert assignment == {NodeRef(e, l): c for e, l, c in rows}
@@ -300,6 +303,21 @@ class TestGraphml:
         assert any("0.3333333333333333" in w for w in weights)
         for text in weights:
             assert float(text) in {2.5, 1.0 / 3.0, 7.0, 0.125, 9.75}
+
+    def test_edges_follow_the_network_arrays(self):
+        """Intra edges first, then couplings, each in the order of the
+        network's edge arrays: by layer, then by entity."""
+        net = sample_network()
+        buf = io.StringIO()
+        cio.export_graphml(net, None, buf)
+        ids = {node: f"n{k}" for k, node in enumerate(sorted(net.nodes))}
+        v = net.vertices
+        expected = [
+            (ids[v[i]], ids[v[j]])
+            for edges in (net.intra, net.inter)
+            for i, j in zip(edges.a.tolist(), edges.b.tolist())
+        ]
+        assert re.findall(r'<edge source="(\w+)" target="(\w+)">', buf.getvalue()) == expected
 
     def test_partitionless_round_trip(self, tmp_path):
         path = tmp_path / "network.graphml"
@@ -411,6 +429,43 @@ class TestCliSelect:
         csv_trace = json.loads((from_csv / "trace.json").read_text())
         art_trace = json.loads((from_art / "trace.json").read_text())
         assert csv_trace["iterations"] == art_trace["iterations"]
+
+    def test_network_artifact_records_its_own_pruning(self, score_csv, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"pruning": {"alpha": 0.01}}))
+        built, out = tmp_path / "built", tmp_path / "sel"
+        argv = ["build", score_csv, "--config", str(config), "--out-dir", str(built)]
+        assert cli.main(argv) == 0
+        assert cli.main(["select", str(built / "network.json"), "--out-dir", str(out)]) == 0
+        network = json.loads((built / "network.json").read_text())
+        trace = json.loads((out / "trace.json").read_text())
+        assert trace["config"]["pruning"]["alpha"] == 0.01
+        assert trace["config"]["pruning"] == network["pruning"]
+
+    def test_network_artifact_without_pruning_settings_records_none(self, tmp_path, capsys):
+        raw = json.loads((PLANTED / "expected" / "build" / "network.json").read_text())
+        raw["pruning"] = None
+        artifact, out = tmp_path / "network.json", tmp_path / "sel"
+        artifact.write_text(json.dumps(raw))
+        assert cli.main(["select", str(artifact), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "trace.json").read_text())["config"]["pruning"] is None
+
+    @pytest.mark.parametrize("pruning", [[], 0.05, "alpha=0.05"])
+    def test_malformed_pruning_field_exits_two_before_selection(
+        self, pruning, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args):
+            raise AssertionError("selection ran")
+
+        monkeypatch.setattr(cli, "initialize", never)
+        raw = json.loads((PLANTED / "expected" / "build" / "network.json").read_text())
+        raw["pruning"] = pruning
+        artifact, out = tmp_path / "network.json", tmp_path / "sel"
+        artifact.write_text(json.dumps(raw))
+        assert cli.main(["select", str(artifact), "--out-dir", str(out)]) == 2
+        kind = type(pruning).__name__
+        assert capsys.readouterr().err == f"error: artifact field 'pruning' has type {kind}\n"
+        assert list(out.iterdir()) == []
 
 
 class TestCliSweep:
@@ -594,6 +649,8 @@ class TestCliConfigRules:
             ("sweep", '{"sweep": {"grid": 0.5}}', "sweep.grid"),
             ("sweep", '{"sweep": {"grid": [0.5, NaN]}}', "sweep.grid"),
             ("evaluate", '{"pruning": {"alpha": "0.05"}}', "pruning.alpha"),
+            ("select", '{"pruning": {"alpha": 1.5}}', "pruning.alpha"),
+            ("select", '{"pruning": {"alpha": 0.0}}', "pruning.alpha"),
             ("evaluate", '{"regression": {"folds": 2.5}}', "regression.folds"),
         ],
     )
@@ -849,6 +906,17 @@ class TestCliRenderExport:
         assert capsys.readouterr().err == f"error: partition {message}\n"
         assert list(out.iterdir()) == []
 
+    def test_empty_partition_exits_two_writing_nothing(self, tmp_path, capsys):
+        part = tmp_path / "partition.json"
+        empty = {"format": "cobalt-partition", "version": 1, "assignment": [], "quality": 0.0}
+        part.write_text(json.dumps(empty))
+        out = tmp_path / "out"
+        network = PLANTED / "expected" / "build" / "network.json"
+        argv = ["export", str(network), "--partition", str(part), "--out-dir", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: artifact field 'assignment' has no rows\n"
+        assert list(out.iterdir()) == []
+
     def test_render_is_not_a_command(self, tmp_path, capsys):
         sel = self._build_artifacts(tmp_path)
         out = tmp_path / "render"
@@ -864,6 +932,44 @@ def test_parser_offers_exactly_the_five_commands():
     parser = cli._parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == ["build", "select", "sweep", "evaluate", "export"]
+
+
+def test_each_command_takes_only_the_flags_it_uses():
+    parser = cli._parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [
+            a.option_strings[-1]
+            for a in command._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        ]
+        for name, command in sub.choices.items()
+    }
+    assert options == {
+        "build": ["--config", "--out-dir"],
+        "select": ["--config", "--seed", "--out-dir"],
+        "sweep": ["--config", "--seed", "--out-dir"],
+        "evaluate": ["--trace", "--config", "--seed", "--out-dir"],
+        "export": ["--partition", "--out-dir"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", str(PLANTED / "scores.csv"), "--seed", "1"],
+        ["export", str(PLANTED / "expected" / "build" / "network.json"), "--config", "c.json"],
+        ["export", str(PLANTED / "expected" / "build" / "network.json"), "--seed", "1"],
+    ],
+    ids=["build-seed", "export-config", "export-seed"],
+)
+def test_unused_flag_exits_two_writing_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_no_module_names_the_deleted_renderer():

@@ -229,6 +229,20 @@ class TestPruneNetwork:
             with pytest.raises(ValueError, match="scale must be positive"):
                 prune_network(empty, scale=scale)
 
+    def test_config_and_filter_take_one_alpha_range(self):
+        """(0, 1]: a config refuses exactly the levels the filter refuses,
+        with the same message."""
+        empty = mln_from_edges({})
+        for alpha in (1e-300, 0.5, 1.0):
+            assert PruningConfig(alpha=alpha).alpha == alpha
+            prune_network(empty, alpha=alpha)
+        for alpha in (0.0, -0.1, 1.0 + 1e-12, math.nan):
+            with pytest.raises(ValueError) as from_config:
+                PruningConfig(alpha=alpha)
+            with pytest.raises(ValueError) as from_filter:
+                prune_network(empty, alpha=alpha)
+            assert str(from_config.value) == str(from_filter.value)
+
 
 def coupling_totals(m: int) -> np.ndarray:
     """Universe totals E >= m: every integer up to m + 200, then a log grid
@@ -343,8 +357,7 @@ class TestMatchesReferenceFilter:
                 e: w.hex() for e, w in want.items()
             }
 
-    # PruningConfig takes alpha in (0, 1), so 0.99 stands in for 1.0
-    @given(score_tables(), st.sampled_from([0.05, 0.3, 0.99]))
+    @given(score_tables(), st.sampled_from([0.05, 0.3, 1.0]))
     @settings(max_examples=60, deadline=None)
     def test_build_pruned_network_equals_prune_network(self, table, alpha):
         """Built and filtered one universe at a time, the network equals the
