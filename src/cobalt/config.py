@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Any
 
 from .community import LeidenConfig
-from .pruning import check_alpha
+from .pruning import DEFAULT_ALPHA, DEFAULT_SCALE, check_alpha
 from .selector import STOPPING_MODES
 
 DEFAULT_SWEEP_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -48,8 +48,8 @@ def _section(raw: dict[str, Any], name: str, factory: type) -> Any:
 
 @dataclass(frozen=True)
 class PruningConfig:
-    alpha: float = 0.05
-    quantization: float = 1000.0
+    alpha: float = DEFAULT_ALPHA
+    quantization: float = DEFAULT_SCALE
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)

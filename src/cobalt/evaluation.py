@@ -11,7 +11,7 @@ using ridge regression with seeded k-fold cross-validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,8 +33,9 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
 
 
-def inject_missingness(table: ScoreTable, ratio: float, seed: int) -> ScoreTable:
-    """Remove round(ratio * n) entities, chosen uniformly, from every layer."""
+def inject_missingness(table: ScoreTable, ratio: float, seed: int | None) -> ScoreTable:
+    """Remove round(ratio * n) entities, chosen uniformly, from every layer.
+    Where that count is 0 none is drawn, so ``seed`` may be ``None``."""
     if not table.is_complete():
         raise ValueError("missingness injection requires a complete table")
     if not 0.0 <= ratio < 1.0:
@@ -70,11 +71,7 @@ class MissingnessSweepReport:
 def _sweep_entry(
     table: ScoreTable, ratio: float, seed: int | None, config: PipelineConfig
 ) -> SweepEntry:
-    if ratio > 0.0:
-        assert seed is not None
-        reduced = inject_missingness(table, ratio, seed)
-    else:
-        reduced = table
+    reduced = inject_missingness(table, ratio, seed)
     kept = set(reduced.entities)
     removed = tuple(e for e in table.entities if e not in kept)
 
@@ -165,31 +162,29 @@ def build_design_matrix(
         raise ValueError(f"no eligible rows for target {target_layer!r}")
 
     genders = sorted({covariates.gender[e] for e in rows})
-    columns = ["intercept", "age"]
-    columns += [f"gender={g}" for g in genders]
-    columns += [f"{target_layer}@t0"]
-    community_ids: list[int] = []
+    columns = ["intercept", "age", *(f"gender={g}" for g in genders), f"{target_layer}@t0"]
+    blocks = [
+        np.ones(len(rows)),
+        np.array([covariates.age[e] for e in rows]),
+        _one_hot([covariates.gender[e] for e in rows], genders),
+        np.array([table_t0.scores[(e, target_layer)] for e in rows]),
+    ]
     if partition is not None:
-        community_ids = sorted(set(partition.values()))
-        columns += [f"community={c}" for c in community_ids]
-        columns += [f"community={NO_COMMUNITY}"]
-
-    matrix = np.zeros((len(rows), len(columns)))
-    matrix[:, 0] = 1.0
-    for i, e in enumerate(rows):
-        matrix[i, 1] = covariates.age[e]
-        matrix[i, 2 + genders.index(covariates.gender[e])] = 1.0
-        matrix[i, 2 + len(genders)] = table_t0.scores[(e, target_layer)]
-        if partition is not None:
-            base = 3 + len(genders)
-            comm = partition.get(e)
-            if comm is None:
-                matrix[i, base + len(community_ids)] = 1.0
-            else:
-                matrix[i, base + community_ids.index(comm)] = 1.0
+        levels = [*sorted(set(partition.values())), NO_COMMUNITY]
+        columns += [f"community={c}" for c in levels]
+        blocks.append(_one_hot([partition.get(e, NO_COMMUNITY) for e in rows], levels))
+    matrix = np.column_stack(blocks)
 
     y = np.array([targets.scores[(e, target_layer)] for e in rows])
     return DesignMatrix(matrix, tuple(columns), tuple(rows)), y
+
+
+def _one_hot(labels: Sequence, levels: Sequence) -> np.ndarray:
+    """Indicator block: row ``i`` holds a 1 in the column of ``labels[i]``."""
+    column = {level: k for k, level in enumerate(levels)}
+    block = np.zeros((len(labels), len(levels)))
+    block[np.arange(len(labels)), [column[label] for label in labels]] = 1.0
+    return block
 
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -236,9 +231,9 @@ def _fold_r2(y_true: np.ndarray, y_pred: np.ndarray, train_mean: float) -> float
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
-    folds: int = 10,
-    lambda_grid: Sequence[float] = (0.01, 0.1, 1.0, 10.0, 100.0),
-    seed: int = 0,
+    folds: int,
+    lambda_grid: Sequence[float],
+    seed: int,
 ) -> CrossValResult:
     """Seeded k-fold grid search; best lambda by lowest mean out-of-fold MSE.
 
@@ -331,17 +326,7 @@ def regression_report(
                 skipped.append(f"{target_layer}/{name}: {exc}")
                 continue
             rows.append(
-                RegressionRow(
-                    target=target_layer,
-                    feature_set=name,
-                    model="ridge",
-                    best_lambda=result.best_lambda,
-                    mae=result.mae,
-                    mse=result.mse,
-                    r2=result.r2,
-                    folds=reg.folds,
-                    n=len(y),
-                )
+                RegressionRow(target_layer, name, "ridge", *astuple(result), reg.folds, len(y))
             )
     metadata = {
         "lambda_grid": list(reg.lambda_grid),

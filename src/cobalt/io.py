@@ -2,15 +2,15 @@
 
 CSV inputs: scores (``entity,<layer>,...``, empty cell = missing),
 covariates (``entity,age,gender``), targets (``entity,<layer>_t1,...``).
-Artifacts are deterministic JSON (sorted keys, no timestamps); networks can
-also be exported to attributed GraphML.
+Artifacts are deterministic JSON: compact, on one line with sorted keys and
+no timestamps, then a newline. ``python -m json.tool --indent 1 --sort-keys``
+lays one out for reading. Networks can also be exported to attributed GraphML.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import json
 import math
 import operator
@@ -157,57 +157,10 @@ def _open_write(target: str | Path | TextIO):
 
 
 def dump_json(payload: Any, target: str | Path | TextIO) -> None:
-    """Write ``json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)``
-    and a newline, byte for byte."""
-    text = _indented(payload, 0)
+    """Write ``payload`` as compact JSON with sorted keys, then a newline."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with _open_write(target) as fh:
         fh.write(text + "\n")
-
-
-_SCALAR = json.JSONEncoder(allow_nan=False).encode
-_SCALAR_TYPES = {str, int, float, bool, type(None)}
-
-
-def _is_rows(items: list | tuple) -> bool:
-    """True if every item is a non-empty list or tuple of scalars."""
-    return (
-        set(map(type, items)) <= {list, tuple}
-        and all(items)
-        and set(map(type, itertools.chain.from_iterable(items))) <= _SCALAR_TYPES
-    )
-
-
-def _indented(value: Any, depth: int) -> str:
-    """``value`` laid out as json does with ``indent=1``, from ``depth``.
-
-    json runs its pure-Python encoder whenever ``indent`` is set. A list of
-    flat rows is instead encoded by the C encoder in one call, with the
-    row-item separator; the row boundaries are then spliced into their
-    indented form. ``ensure_ascii`` output holds no raw newline inside a
-    string, so ``],\\n<pad>[`` occurs only between rows.
-    """
-    outer = "\n" + " " * depth
-    pad = outer + " "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
-            f"{_SCALAR(k if isinstance(k, str) else _SCALAR(k))}: {_indented(v, depth + 1)}"
-            for k, v in sorted(value.items())
-        )
-        return "{" + pad + ("," + pad).join(items) + outer + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if _is_rows(value):
-            inner = pad + " "
-            encoder = json.JSONEncoder(separators=("," + inner, ": "), allow_nan=False)
-            body = encoder.encode(value)[2:-2]
-            body = body.replace("]," + inner + "[", pad + "]," + pad + "[" + inner)
-            return "[" + pad + "[" + inner + body + pad + "]" + outer + "]"
-        items = (_indented(v, depth + 1) for v in value)
-        return "[" + pad + ("," + pad).join(items) + outer + "]"
-    return _SCALAR(value)
 
 
 def _json_safe(value: Any) -> Any:
@@ -415,9 +368,15 @@ def trace_to_dict(trace: IterationTrace, config: dict | None = None) -> dict:
 def trace_from_dict(raw: Any) -> IterationTrace:
     raw = _artifact(raw, "trace")
     records = []
-    for item in _field(raw, "iterations", list):
+    for position, item in enumerate(_field(raw, "iterations", list), start=1):
         if not isinstance(item, dict):
             raise InputFormatError(f"artifact field 'iterations' holds {item!r}")
+        index = _field(item, "index", int)
+        if type(index) is not int or index != position:
+            raise InputFormatError(
+                f"artifact field 'index' of iteration {position} reads {index!r}; "
+                "iterations are numbered 1, 2, ... in order"
+            )
         layer = _field(item, "layer", str)
         cost = _field(item, "cost", (*_NUMBER, str, type(None)))
         breakdown = None
@@ -428,16 +387,23 @@ def trace_from_dict(raw: Any) -> IterationTrace:
                 _field(item, "community_similarity", _NUMBER),
                 _json_number(cost),
             )
+        layers = _layers(item)
         assignment = _assignment(item, "partition")
+        outside = {node.layer for node in assignment} - set(layers)
+        if outside:
+            raise InputFormatError(
+                f"artifact field 'partition' of iteration {index} names layer "
+                f"{min(outside)!r}, which is not in its 'layers'"
+            )
         modularity = _field(item, "modularity", _NUMBER)
         records.append(
             IterationRecord(
-                index=_field(item, "index", int),
+                index=index,
                 layer=layer,
                 breakdown=breakdown,
                 partition=Partition(assignment, modularity),
                 modularity=modularity,
-                layers=_layers(item),
+                layers=layers,
                 node_count=_field(item, "nodes", int),
                 intra_edge_count=_field(item, "intra_edges", int),
                 inter_edge_count=_field(item, "inter_edges", int),

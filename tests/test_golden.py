@@ -10,6 +10,12 @@ compares every file byte for byte.
 A change that alters an artifact must say why and regenerate the goldens::
 
     PYTHONPATH=src python tests/test_golden.py
+
+JSON goldens are compact, one line each. To compare the content of a
+regenerated JSON golden with an older, indented one, lay it out first:
+``python -m json.tool --indent 1 --sort-keys FILE`` prints the indented
+layout byte for byte, so ``cmp`` against the old file shows whether only
+the whitespace changed.
 """
 
 from __future__ import annotations

@@ -220,7 +220,7 @@ class TestDumpJson:
     def test_bytes_equal_json_dumps(self, payload):
         buf = io.StringIO()
         cio.dump_json(payload, buf)
-        expected = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
         assert buf.getvalue() == expected + "\n"
 
     @pytest.mark.parametrize(
@@ -728,6 +728,28 @@ class TestCliConfigRules:
         assert list(out.iterdir()) == []
 
 
+def golden_trace(edit) -> dict:
+    """The golden planted select trace, its iterations passed through ``edit``."""
+    raw = json.loads((PLANTED / "expected" / "select" / "trace.json").read_text())
+    edit(raw["iterations"])
+    return raw
+
+
+def partition_row_in_layer_b(iterations: list[dict]) -> None:
+    # iteration 1 covers only layer A
+    iterations[0]["partition"][0][1] = "B"
+
+
+def every_index_one(iterations: list[dict]) -> None:
+    for item in iterations:
+        item["index"] = 1
+
+
+def index_true(iterations: list[dict]) -> None:
+    # json reads true as a bool, which is an int subtype equal to 1
+    iterations[0]["index"] = True
+
+
 class TestCliMalformedArtifacts:
     # a trace iteration with every field but "cost"
     TRACE_WITHOUT_COST = {
@@ -785,6 +807,9 @@ class TestCliMalformedArtifacts:
             ("evaluate", TRACE_WITHOUT_COST, "cost"),
             ("export", {"format": "cobalt-network"}, "layers"),
             ("select", NETWORK_WITH_REPEATED_EDGE, "intra_edges"),
+            ("evaluate", golden_trace(partition_row_in_layer_b), "partition"),
+            ("evaluate", golden_trace(every_index_one), "index"),
+            ("evaluate", golden_trace(index_true), "index"),
         ],
     )
     def test_exits_two_naming_the_field(self, command, payload, field, tmp_path, capsys):
