@@ -36,16 +36,17 @@ until neither moving nor refinement changes anything. Communities of the
 returned partition always induce connected subgraphs; any community left
 disconnected by the move phase is split, which can only raise Q.
 
-Early reject. Most move-phase visits leave the vertex where it is. A
-candidate's score is its link minus gamma times a null term built from
-non-negative strengths, so no score exceeds its link, and a visit whose
-largest link to another community does not beat staying is rejected
-before any candidate is scored. The fresh community scores 0.0, which is
-the floor of that largest link. Removals can leave a community a negative
-strength of float drift. An emptied one is never a candidate again, so
-only communities that keep members and turn negative are tracked, and a
-vertex linked to one is scored in full. Decisions are those of scoring
-every candidate, to the bit.
+Candidate floor. Most move-phase visits leave the vertex where it is. A
+candidate's score is its link minus gamma (positive) times a null term
+built from non-negative strengths, so no score exceeds its link. A visit
+scores only the communities whose link exceeds max(stay score +
+tolerance, 0.0), and none when no link does. Unlinked communities read
+0.0 in the link table, so the clamp keeps the linked ones; a fresh
+community (link and score 0.0) is weighed after them. Removals can leave
+a community a negative strength of float drift. An emptied one is never
+a candidate again, so only communities that keep members and turn
+negative are tracked, and a vertex linked to one scores every linked one.
+Decisions are those of scoring every candidate, to the bit.
 """
 
 from __future__ import annotations
@@ -299,21 +300,19 @@ def _local_move(
     level: _Level,
     comm: np.ndarray,
     comm_strengths: np.ndarray,
-    next_id: int,
     gamma: float,
     inv_layer_weight: list[float],
     rng: np.random.Generator,
-) -> tuple[int, float, np.ndarray, int]:
+) -> tuple[int, float]:
     """Queue-driven local moving.
 
     ``comm_strengths[layer, c]`` is the strength of community c in a layer;
-    it grows when a vertex opens a fresh community. Returns the number of
-    accepted moves, their summed gain (``mu`` times the rise in Q), the
-    strength table and the next unused community id.
+    fresh communities take ids from its width on. Returns the number of
+    accepted moves and their summed gain (``mu`` times the rise in Q).
 
-    The early reject (module docstring) needs gamma > 0. ``negative`` holds
-    the communities that have members and a negative strength in some
-    layer; the reject is taken only when the vertex links to none of them.
+    The candidate floor (module docstring) needs gamma > 0. ``negative``
+    holds the communities that have members and a negative strength in some
+    layer; a vertex linked to one of them scores every linked community.
     """
     ptr = level.indptr.tolist()
     indices, weights = level.indices, level.weights
@@ -327,7 +326,8 @@ def _local_move(
         for layer, k in terms:
             null = null + k * k * inv_layer_weight[layer]
         self_null.append(null)
-    size = np.bincount(comm, minlength=comm_strengths.shape[1])
+    next_id = comm_strengths.shape[1]
+    size = np.bincount(comm, minlength=next_id)
     below_zero = (comm_strengths < 0.0).any(axis=0)
     negative = set(np.flatnonzero((size > 0) & below_zero).tolist())
     size = size.tolist()
@@ -353,25 +353,20 @@ def _local_move(
             strength = float(comm_strengths[layer, current])
             stay_null = stay_null + k * strength * inv_layer_weight[layer]
         stay_score = stay_link - gamma * (stay_null - self_null[v])
-        # no candidate scores above its link, so none can beat staying; the
-        # initial 0.0 is a fresh community's link and score
-        if np.maximum.reduce(weight_to, initial=0.0) <= stay_score + _GAIN_TOL and not (
-            negative and any(c < weight_to.size and weight_to[c] for c in negative)
-        ):
-            continue
 
-        # edge weights are positive, so linked communities are the nonzeros
-        cands = weight_to.astype(bool).nonzero()[0]
-        scores = weight_to[cands] - gamma * _null_scores(
-            terms, comm_strengths, cands, inv_layer_weight
-        )
-
+        # only links above the floor can pass the running test; edge weights
+        # are positive, so a floor of 0.0 keeps exactly the linked communities
+        floor = max(stay_score + _GAIN_TOL, 0.0)
+        if negative and any(c < weight_to.size and weight_to[c] for c in negative):
+            floor = 0.0
+        cands = (weight_to > floor).nonzero()[0]
         best_comm = current
         best_score = stay_score
-        # only scores above the stay score can ever pass the running test
-        above = (scores > stay_score + _GAIN_TOL).nonzero()[0]
-        if above.size:
-            for cand, score in zip(cands[above].tolist(), scores[above].tolist()):
+        if cands.size:
+            scores = weight_to[cands] - gamma * _null_scores(
+                terms, comm_strengths, cands, inv_layer_weight
+            )
+            for cand, score in zip(cands.tolist(), scores.tolist()):
                 if score > best_score + _GAIN_TOL:
                     best_comm = cand
                     best_score = score
@@ -408,7 +403,7 @@ def _local_move(
         wake = nbrs[(nbr_comm != best_comm) & ~queued[nbrs]]
         queued[wake] = True
         queue.extend(wake.tolist())
-    return moves, gain, comm_strengths, next_id
+    return moves, gain
 
 
 def _refine(
@@ -608,8 +603,6 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
     terms = (np.arange(supra.vertex_count + 1), supra.layer_of, supra.strength)
     level = _level((supra.indptr, supra.indices, supra.weights), *terms, len(supra.layers))
     comm = np.arange(level.n)
-    comm_strengths = level.strengths.copy()
-    next_id = level.n
     top = np.arange(level.n)  # level vertex holding each supra-graph vertex
     # a move changes Q by its gain / mu; refinement and aggregation keep the
     # partition, so each pass's quality follows from the singletons' quality
@@ -618,9 +611,8 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
     history: list[float] = []
 
     for _ in range(cfg.max_passes):
-        moves, gain, comm_strengths, next_id = _local_move(
-            level, comm, comm_strengths, next_id, cfg.gamma, inv, rng
-        )
+        strengths = _community_strengths(level, comm, int(comm.max()) + 1)
+        moves, gain = _local_move(level, comm, strengths, cfg.gamma, inv, rng)
         q = _finite(q + gain / mu, cfg.gamma)
         history.append(q)
 
@@ -629,8 +621,6 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
             break
         level, comm, sv = _aggregate(level, refined, comm)
         top = sv[top]
-        next_id = int(comm.max()) + 1
-        comm_strengths = _community_strengths(level, comm, next_id)
 
     assignment = _assignment(supra, _split_disconnected(supra, comm[top]))
     quality = multislice_modularity(supra, assignment, cfg.gamma)

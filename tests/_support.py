@@ -354,8 +354,8 @@ def communities_connected(
 
 
 # ---------------------------------------------------------------------------
-# Leiden phases as they were before the early reject: every visit scores
-# every candidate community. The optimized phases must match them bit for bit.
+# Leiden phases without the candidate floor: every visit scores every linked
+# community. The optimized phases must match them bit for bit.
 
 
 def _reference_null_scores(
@@ -376,25 +376,29 @@ def reference_local_move(
     level: _Level,
     comm: np.ndarray,
     comm_strengths: np.ndarray,
-    next_id: int,
     gamma: float,
     inv_layer_weight: list[float],
     rng: np.random.Generator,
-) -> tuple[int, float, np.ndarray, int]:
+) -> tuple[int, float]:
     """Queue-driven local moving.
 
     ``comm_strengths[layer, c]`` is the strength of community c in a layer;
-    it grows when a vertex opens a fresh community. Returns the number of
-    accepted moves, their summed gain (``mu`` times the rise in Q), the
-    strength table and the next unused community id.
+    fresh communities take ids from its width on. Returns the number of
+    accepted moves and their summed gain (``mu`` times the rise in Q).
     """
     ptr = level.indptr.tolist()
     indices, weights = level.indices, level.weights
     queue = deque(rng.permutation(level.n).tolist())
     queued = np.ones(level.n, dtype=bool)
-    self_null = [
-        sum(k * k * inv_layer_weight[layer] for layer, k in terms) for terms in level.terms
-    ]
+    # terms added left to right: the builtin sum of Python 3.12 and later
+    # compensates float error, and would give other bits
+    self_null = []
+    for terms in level.terms:
+        null = 0.0
+        for layer, k in terms:
+            null = null + k * k * inv_layer_weight[layer]
+        self_null.append(null)
+    next_id = comm_strengths.shape[1]
     moves = 0
     gain = 0.0
 
@@ -449,7 +453,7 @@ def reference_local_move(
         wake = nbrs[(nbr_comm != best_comm) & ~queued[nbrs]]
         queued[wake] = True
         queue.extend(wake.tolist())
-    return moves, gain, comm_strengths, next_id
+    return moves, gain
 
 
 def reference_refine(
