@@ -4,7 +4,10 @@ CSV inputs: scores (``entity,<layer>,...``, empty cell = missing),
 covariates (``entity,age,gender``), targets (``entity,<layer>_t1,...``).
 Artifacts are deterministic JSON: compact, on one line with sorted keys and
 no timestamps, then a newline. ``python -m json.tool --indent 1 --sort-keys``
-lays one out for reading. Networks can also be exported to attributed GraphML.
+lays one out for reading. ``network.json`` (version 2) is columnar: its
+``vertices`` in vertex order, then each edge set as parallel columns of
+vertex ids ``a``, ``b`` and weights ``w``. Networks can also be exported to
+attributed GraphML.
 """
 
 from __future__ import annotations
@@ -160,7 +163,8 @@ def dump_json(payload: Any, target: str | Path | TextIO) -> None:
     """Write ``payload`` as compact JSON with sorted keys, then a newline."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with _open_write(target) as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+        fh.write("\n")
 
 
 def _json_safe(value: Any) -> Any:
@@ -181,28 +185,18 @@ def _json_number(raw: Any) -> float:
 def network_to_dict(
     network: MultiLayerNetwork, pruning_meta: dict | None = None
 ) -> dict:
-    entity = [n.entity for n in network.vertices]
-    layer = [n.layer for n in network.vertices]
-    (a, b, w), (c, d, x) = network.intra, network.inter
     return {
         "format": "cobalt-network",
-        "version": 1,
+        "version": 2,
         "layers": list(network.layers),
-        "nodes": sorted([n.entity, n.layer] for n in network.nodes),
-        "intra_edges": sorted(
-            [entity[i], entity[j], layer[i], wt]
-            for i, j, wt in zip(a.tolist(), b.tolist(), w.tolist())
-        ),
-        "inter_edges": sorted(
-            [entity[i], layer[i], layer[j], wt]
-            for i, j, wt in zip(c.tolist(), d.tolist(), x.tolist())
-        ),
+        "vertices": [list(v) for v in network.vertices],
+        "intra_edges": dict(zip("abw", (x.tolist() for x in network.intra))),
+        "inter_edges": dict(zip("abw", (x.tolist() for x in network.inter))),
         "pruning": pruning_meta,
     }
 
 
 _NUMBER = (int, float)
-_EDGE = (str, str, str, _NUMBER)
 _MEMBER = (str, str, int)
 
 
@@ -256,48 +250,53 @@ def _layers(raw: dict) -> tuple[str, ...]:
     return tuple(layers)
 
 
-def _artifact(raw: Any, kind: str) -> dict:
+def _artifact(raw: Any, kind: str, version: int) -> dict:
+    """``raw``, if it is a JSON object of this ``format`` and ``version``."""
     if not isinstance(raw, dict) or raw.get("format") != f"cobalt-{kind}":
-        raise InputFormatError(
-            f"not a {kind} artifact: needs a JSON object with field 'format'"
-        )
+        raise InputFormatError(f"not a {kind} artifact: needs a JSON object with field 'format'")
+    found = raw.get("version")
+    if type(found) is not int or found != version:
+        rebuild = "; rebuild it with 'cobalt build'" if kind == "network" else ""
+        raise InputFormatError(f"artifact field 'version' reads {found!r}, not {version}{rebuild}")
     return raw
 
 
-def _edge_arrays(raw: dict, name: str, index: dict[NodeRef, int]) -> EdgeArrays:
-    """Rows of the edge field ``name`` as arrays over ``index``'s vertex ids,
-    flipped rows turned to their canonical key; a repeated edge is an error."""
-    x, y, z, w = _columns(raw, name, _EDGE)
-    # rows are [entity_a, entity_b, layer, w] or [entity, layer_a, layer_b, w]
-    intra = name == "intra_edges"
-    ends = (zip(x, z), zip(y, z)) if intra else (zip(x, y), zip(x, z))
+def _edge_arrays(raw: dict, name: str, vertices: tuple[NodeRef, ...]) -> EdgeArrays:
+    """Columns ``a``, ``b`` (ids into ``vertices``) and ``w`` of edge field ``name``."""
+    columns, n = _field(raw, name, dict), len(vertices)
+    a, b, w = (columns.get(key) for key in "abw")
+    if not all(type(col) is list for col in (a, b, w)) or not len(a) == len(b) == len(w):
+        raise InputFormatError(f"artifact field {name!r} needs lists 'a', 'b', 'w' of one length")
+    for ids in (a, b):
+        # the range first: np.array raises OverflowError on an id past int64
+        if not set(map(type, ids)) <= {int} or ids and not 0 <= min(ids) <= max(ids) < n:
+            raise InputFormatError(f"artifact field {name!r} holds an id outside 0..{n - 1}")
+    if not set(map(type, w)) <= set(_NUMBER):
+        raise InputFormatError(f"artifact field {name!r} holds a weight that is not a number")
     try:
-        a, b = (np.fromiter(map(index.__getitem__, e), np.int64, len(w)) for e in ends)
-    except KeyError as exc:
-        raise InputFormatError(
-            f"artifact field {name!r} names {exc.args[0]}, which is not in 'nodes'"
-        ) from exc
-    flip = np.fromiter(map(operator.gt, *((x, y) if intra else (y, z))), bool, len(w))
-    a, b = np.where(flip, b, a), np.where(flip, a, b)
-    key = np.sort(a * len(index) + b)
+        w = np.array(w, dtype=np.float64)
+    except OverflowError:  # an int weight past the float range
+        raise InputFormatError(f"artifact field {name!r} holds a weight past 1.8e308") from None
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    key = np.sort(a * n + b)
     repeated = key[1:][key[1:] == key[:-1]]
     if repeated.size:
-        vertices = list(index)
-        i, j = divmod(int(repeated[0]), len(index))
-        raise InputFormatError(
-            f"artifact field {name!r} repeats edge {vertices[i]}-{vertices[j]}"
-        )
-    return EdgeArrays(a, b, np.array(w, dtype=np.float64))
+        i, j = divmod(int(repeated[0]), n)
+        raise InputFormatError(f"artifact field {name!r} repeats edge {vertices[i]}-{vertices[j]}")
+    return EdgeArrays(a, b, w)
 
 
 def network_from_dict(raw: Any) -> MultiLayerNetwork:
-    raw = _artifact(raw, "network")
+    raw = _artifact(raw, "network", 2)
     layers = _layers(raw)
-    nodes = frozenset(map(NodeRef, *_columns(raw, "nodes", (str, str))))
-    index = {v: i for i, v in enumerate(vertex_order(layers, nodes))}
-    intra = _edge_arrays(raw, "intra_edges", index)
-    inter = _edge_arrays(raw, "inter_edges", index)
-    return MultiLayerNetwork(layers, nodes, intra, inter)
+    vertices = tuple(map(NodeRef, *_columns(raw, "vertices", (str, str))))
+    if len(set(vertices)) != len(vertices) or vertices != vertex_order(layers, vertices):
+        raise InputFormatError("artifact field 'vertices' must list each vertex once, in order")
+    intra, inter = (_edge_arrays(raw, name, vertices) for name in ("intra_edges", "inter_edges"))
+    try:
+        return MultiLayerNetwork(layers, vertices, intra, inter)
+    except ValueError as exc:  # the constructor's message opens with "intra" or "inter"
+        raise InputFormatError(f"artifact field '{str(exc).split()[0]}_edges': {exc}") from exc
 
 
 def network_and_pruning(raw: Any) -> tuple[MultiLayerNetwork, dict | None]:
@@ -325,7 +324,7 @@ def partition_to_dict(partition: Partition, extra: dict | None = None) -> dict:
 
 
 def partition_from_dict(raw: Any) -> Partition:
-    raw = _artifact(raw, "partition")
+    raw = _artifact(raw, "partition", 1)
     assignment = _assignment(raw, "assignment")
     if not assignment:
         raise InputFormatError("artifact field 'assignment' has no rows")
@@ -366,7 +365,7 @@ def trace_to_dict(trace: IterationTrace, config: dict | None = None) -> dict:
 
 
 def trace_from_dict(raw: Any) -> IterationTrace:
-    raw = _artifact(raw, "trace")
+    raw = _artifact(raw, "trace", 1)
     records = []
     for position, item in enumerate(_field(raw, "iterations", list), start=1):
         if not isinstance(item, dict):

@@ -131,7 +131,8 @@ class MultiLayerNetwork:
     over these ids, ``intra`` with ``a < b`` and ``inter`` with ``a`` in the
     layer whose name sorts first: both are the canonical key order.
     The constructor takes the two edge sets as :class:`EdgeArrays` in this
-    layout and checks every edge. ``intra_edges`` and ``inter_edges`` are
+    layout and checks every edge; an error opens with the set, ``intra`` or
+    ``inter``, that breaks a rule. ``intra_edges`` and ``inter_edges`` are
     read-only mapping views of them, built on first access.
     """
 
@@ -153,22 +154,22 @@ class MultiLayerNetwork:
         for array in (self.layer_of, self.entity_of, *self.intra, *self.inter):
             array.flags.writeable = False
         name_rank = layer_name_rank(self.layers)
-        for is_intra, (a, b, w) in ((True, self.intra), (False, self.inter)):
+        for kind, (a, b, w) in (("intra", self.intra), ("inter", self.inter)):
             outside = (np.minimum(a, b) < 0) | (np.maximum(a, b) >= len(self.vertices))
             if outside.any():
                 i = int(outside.argmax())
-                raise ValueError(f"edge {a[i]}-{b[i]} has endpoint outside node set")
+                raise ValueError(f"{kind} edge {a[i]}-{b[i]} has endpoint outside node set")
             la, lb = self.layer_of[a], self.layer_of[b]
-            if is_intra:
-                kind, canonical = (la != lb, "intra edge {}-{} spans layers"), a < b
+            if kind == "intra":
+                rule, canonical = (la != lb, "edge {}-{} spans layers"), a < b
             else:
                 split = (self.entity_of[a] != self.entity_of[b]) | (la == lb)
-                kind = split, "inter edge {}-{} must couple one entity across layers"
+                rule = split, "edge {}-{} must couple one entity across layers"
                 canonical = name_rank[la] < name_rank[lb]
             # every rule over all edges at once; the first edge breaking the
             # first broken rule is named
             for bad, message in (
-                kind,
+                rule,
                 (a == b, "self-loop on {}"),
                 (~canonical, "edge {}-{} not in canonical order"),
                 (~(w > 0.0) | ~np.isfinite(w), "edge {}-{} has non-positive weight {}"),
@@ -176,7 +177,7 @@ class MultiLayerNetwork:
                 if bad.any():
                     i = int(bad.argmax())
                     v = self.vertices
-                    raise ValueError(message.format(v[a[i]], v[b[i]], float(w[i])))
+                    raise ValueError(f"{kind} " + message.format(v[a[i]], v[b[i]], float(w[i])))
 
     def _view(self, edges: EdgeArrays) -> Mapping[Edge, float]:
         v = self.vertices

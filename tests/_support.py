@@ -17,9 +17,9 @@ from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import betainc
 
-from cobalt import io as cio
 from cobalt.community import _GAIN_TOL, _Level, _draw
 from cobalt.model import EdgeArrays, MultiLayerNetwork, NodeRef, ScoreTable, vertex_order
 from cobalt.pruning import prune_network
@@ -35,22 +35,20 @@ def mln_from_edges(
     extra_nodes: Sequence[tuple[str, str]] = (),
 ) -> MultiLayerNetwork:
     """Small network from explicit (entity_a, entity_b, weight) lists per layer
-    and (entity, layer_a, layer_b, weight) couplings, read as the rows of a
-    ``cobalt-network`` artifact."""
-    intra = [[a, b, layer, w] for layer, edges in layer_edges.items() for a, b, w in edges]
-    inter = [[e, la, lb, w] for e, la, lb, w in couplings]
-    nodes = set(extra_nodes)
-    nodes.update((e, layer) for a, b, layer, _ in intra for e in (a, b))
-    nodes.update((e, layer) for e, la, lb, _ in inter for layer in (la, lb))
-    return cio.network_from_dict(
-        {
-            "format": "cobalt-network",
-            "layers": list(layer_edges),
-            "nodes": sorted(map(list, nodes)),
-            "intra_edges": intra,
-            "inter_edges": inter,
-        }
-    )
+    and (entity, layer_a, layer_b, weight) couplings. Either endpoint may come
+    first: each edge is stored under its canonical key, the smaller entity
+    first within a layer and the layer whose name sorts first across layers,
+    which is the smaller ``NodeRef`` in both cases."""
+    rows = [(NodeRef(a, l), NodeRef(b, l), w) for l, es in layer_edges.items() for a, b, w in es]
+    rows += [(NodeRef(e, la), NodeRef(e, lb), w) for e, la, lb, w in couplings]
+    intra, inter = {}, {}
+    for u, v, w in rows:
+        edges = intra if u.layer == v.layer else inter
+        edges[min(u, v), max(u, v)] = w
+    if len(intra) + len(inter) != len(rows):
+        raise ValueError("repeated edge")
+    nodes = {NodeRef(*n) for n in extra_nodes}.union(*intra, *inter)
+    return network_of(list(layer_edges), list(nodes), intra, inter)
 
 
 def network_of(
@@ -71,6 +69,42 @@ def network_of(
         return EdgeArrays(ids[:, 0], ids[:, 1], np.array(list(edges.values()), dtype=float))
 
     return MultiLayerNetwork(layers, nodes, arrays(intra), arrays(inter))
+
+
+# weights spanning six decades, plus the tie weight 1/(2 * 1e-9), so that
+# any change in summation order shows in the last bits
+edge_weights = st.floats(1e-3, 1e3) | st.just(5e8)
+
+
+@st.composite
+def multilayer_networks(draw):
+    """Random network: layers named out of alphabetical order, entities
+    missing from some layers, random intra edges and couplings."""
+    layers = draw(st.lists(st.sampled_from("DBECA"), min_size=1, max_size=4, unique=True))
+    entities = draw(
+        st.lists(st.text("qzab", min_size=1, max_size=2), min_size=2, max_size=12, unique=True)
+    )
+    present = {
+        layer: [e for e in entities if draw(st.booleans())] for layer in layers
+    }
+    layer_edges = {
+        layer: [
+            (a, b, draw(edge_weights))
+            for i, a in enumerate(members)
+            for b in members[i + 1 :]
+            if draw(st.booleans())
+        ]
+        for layer, members in present.items()
+    }
+    couplings = [
+        (e, la, lb, draw(edge_weights))
+        for i, la in enumerate(layers)
+        for lb in layers[i + 1 :]
+        for e in entities
+        if e in present[la] and e in present[lb] and draw(st.booleans())
+    ]
+    extra = [(e, layer) for layer, members in present.items() for e in members]
+    return mln_from_edges(layer_edges, couplings, extra)
 
 
 def clique_edges(members: Sequence[str], weight: float = 1.0) -> list:

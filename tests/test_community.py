@@ -29,6 +29,7 @@ from _support import (
     communities_connected,
     mln_from_edges,
     modularity_oracle,
+    multilayer_networks,
     newman_girvan_modularity,
     reference_local_move,
     reference_modularity,
@@ -323,42 +324,6 @@ class TestLeiden:
                 == result.partition.assignment[NodeRef(entity, "B")]
             )
         assert result.partition.community_count() == 2
-
-
-# weights spanning six decades, plus the tie weight 1/(2 * 1e-9), so that
-# any change in summation order shows in the last bits
-edge_weights = st.floats(1e-3, 1e3) | st.just(5e8)
-
-
-@st.composite
-def multilayer_networks(draw):
-    """Random network: layers named out of alphabetical order, entities
-    missing from some layers, random intra edges and couplings."""
-    layers = draw(st.lists(st.sampled_from("DBECA"), min_size=1, max_size=4, unique=True))
-    entities = draw(
-        st.lists(st.text("qzab", min_size=1, max_size=2), min_size=2, max_size=12, unique=True)
-    )
-    present = {
-        layer: [e for e in entities if draw(st.booleans())] for layer in layers
-    }
-    layer_edges = {
-        layer: [
-            (a, b, draw(edge_weights))
-            for i, a in enumerate(members)
-            for b in members[i + 1 :]
-            if draw(st.booleans())
-        ]
-        for layer, members in present.items()
-    }
-    couplings = [
-        (e, la, lb, draw(edge_weights))
-        for i, la in enumerate(layers)
-        for lb in layers[i + 1 :]
-        for e in entities
-        if e in present[la] and e in present[lb] and draw(st.booleans())
-    ]
-    extra = [(e, layer) for layer, members in present.items() for e in members]
-    return mln_from_edges(layer_edges, couplings, extra)
 
 
 def assert_matches_reference(supra: SupraGraph, ref: ReferenceSupraGraph) -> None:

@@ -1,22 +1,33 @@
 import argparse
+import copy
 import io
 import json
 import math
 import re
 import shutil
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cobalt import cli
 from cobalt import io as cio
 from cobalt.community import LeidenConfig
-from cobalt.config import PruningConfig, RegressionConfig, SweepConfig
+from cobalt.config import PipelineConfig, PruningConfig, RegressionConfig, SweepConfig
 from cobalt.model import MultiLayerNetwork, NodeRef, Partition, ScoreTable
+from cobalt.pipeline import build_pruned_network
 
-from _support import halves_and_parity_table, mln_from_edges, read_graphml, write_score_csv
+from _support import (
+    halves_and_parity_table,
+    mln_from_edges,
+    multilayer_networks,
+    planted_table,
+    read_graphml,
+    write_score_csv,
+)
 
 
 class TestScoreCsv:
@@ -164,6 +175,13 @@ def sample_network() -> MultiLayerNetwork:
     )
 
 
+def same_arrays(left: MultiLayerNetwork, right: MultiLayerNetwork) -> bool:
+    """Equal vertices and edge arrays, weights compared bit for bit."""
+    pairs = zip((*left.intra, *left.inter), (*right.intra, *right.inter))
+    bits = [(x.view(np.int64), y.view(np.int64)) if x.dtype == float else (x, y) for x, y in pairs]
+    return left.vertices == right.vertices and all(np.array_equal(x, y) for x, y in bits)
+
+
 class TestNetworkJson:
     def test_round_trip(self):
         net = sample_network()
@@ -174,25 +192,68 @@ class TestNetworkJson:
         assert parsed.intra_edges == dict(net.intra_edges)
         assert parsed.inter_edges == dict(net.inter_edges)
 
-    def test_flipped_rows_load_canonical(self):
+    @settings(max_examples=100, deadline=None)
+    @given(multilayer_networks())
+    def test_round_trip_keeps_ids_and_weight_bits(self, net):
+        raw = json.loads(json.dumps(cio.network_to_dict(net)))
+        assert raw["vertices"] == [list(v) for v in net.vertices]
+        assert same_arrays(cio.network_from_dict(raw), net)
+
+    @pytest.mark.parametrize("name", ["intra_edges", "inter_edges"])
+    def test_flipped_edge_refused(self, name):
         raw = cio.network_to_dict(sample_network())
-        for name, swap in (("intra_edges", (1, 0, 2, 3)), ("inter_edges", (0, 2, 1, 3))):
-            raw[name] = [[row[k] for k in swap] for row in raw[name]]
-        parsed = cio.network_from_dict(raw)
-        assert parsed.intra_edges == dict(sample_network().intra_edges)
-        assert parsed.inter_edges == dict(sample_network().inter_edges)
+        columns = raw[name]
+        columns["a"][0], columns["b"][0] = columns["b"][0], columns["a"][0]
+        with pytest.raises(cio.InputFormatError, match=f"'{name}'.* not in canonical order"):
+            cio.network_from_dict(raw)
 
     def test_repeated_edge_named(self):
-        raw = dict(TestCliMalformedArtifacts.NETWORK_WITH_REPEATED_EDGE)
+        raw = copy.deepcopy(TestCliMalformedArtifacts.NETWORK_WITH_REPEATED_EDGE)
         with pytest.raises(cio.InputFormatError, match="repeats edge .*'a'.*'b'"):
             cio.network_from_dict(raw)
-        raw["intra_edges"] = [["a", "b", "A", 1.0], ["a", "c", "A", 1.0]]
-        with pytest.raises(cio.InputFormatError, match="'c', 'A'.* not in 'nodes'"):
+        raw["intra_edges"]["b"][1] = 2
+        with pytest.raises(cio.InputFormatError, match="'intra_edges' holds an id outside 0..1"):
             cio.network_from_dict(raw)
 
     def test_rejects_foreign_payload(self):
         with pytest.raises(cio.InputFormatError):
             cio.network_from_dict({"format": "something-else"})
+
+    def test_parsed_document_holds_few_bytes_per_edge(self):
+        """A planted n = 300, L = 6 network parses to well under 150 bytes
+        per edge: three columns of small ints and floats, no row lists."""
+        layers = {f"L{k}": [i % 4 for i in range(300)] for k in range(6)}
+        net = build_pruned_network(planted_table(300, layers, seed=1), PipelineConfig())
+        text = json.dumps(cio.network_to_dict(net))
+        tracemalloc.start()
+        try:
+            json.loads(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (len(net.intra.w) + len(net.inter.w)) < 150
+
+
+class TestArtifactVersion:
+    @pytest.mark.parametrize(
+        "read, raw",
+        [
+            (cio.partition_from_dict, {"format": "cobalt-partition", "version": 99}),
+            (cio.partition_from_dict, {"format": "cobalt-partition"}),
+            (cio.trace_from_dict, {"format": "cobalt-trace", "version": True}),
+            (cio.network_from_dict, {"format": "cobalt-network", "version": 7}),
+            (cio.network_from_dict, {"format": "cobalt-network", "version": 2.0}),
+        ],
+    )
+    def test_wrong_version_named(self, read, raw):
+        payload = {"assignment": [["a", "A", 0]], "quality": 0.0, "iterations": []}
+        with pytest.raises(cio.InputFormatError, match="'version'"):
+            read({**payload, **raw})
+
+    def test_version_one_network_asks_for_a_rebuild(self):
+        raw = {"format": "cobalt-network", "version": 1, "layers": [], "nodes": []}
+        with pytest.raises(cio.InputFormatError, match="'version' reads 1.*'cobalt build'"):
+            cio.network_from_dict(raw)
 
 
 json_scalars = (
@@ -257,7 +318,7 @@ class TestArtifactRows:
                 and all(isinstance(v, k) for v, k in zip(row, kinds))
             )
         ]
-        raw = {"format": "cobalt-partition", "assignment": rows, "quality": 0.0}
+        raw = {"format": "cobalt-partition", "version": 1, "assignment": rows, "quality": 0.0}
         if bad:
             message = re.escape(f"ill-typed entry {bad[0]!r}")
             with pytest.raises(cio.InputFormatError, match=message):
@@ -750,10 +811,32 @@ def index_true(iterations: list[dict]) -> None:
     iterations[0]["index"] = True
 
 
+def small_network(edit) -> dict:
+    """A valid two-layer network artifact (vertices (a, A), (b, A), (a, B);
+    one intra edge, one coupling), passed through ``edit``."""
+    raw = {
+        "format": "cobalt-network",
+        "version": 2,
+        "layers": ["A", "B"],
+        "vertices": [["a", "A"], ["b", "A"], ["a", "B"]],
+        "intra_edges": {"a": [0], "b": [1], "w": [1.0]},
+        "inter_edges": {"a": [0], "b": [2], "w": [0.5]},
+        "pruning": None,
+    }
+    edit(raw)
+    return raw
+
+
+def edges(name: str, **columns: list):
+    """An edit that sets ``columns`` of the edge field ``name``."""
+    return lambda raw: raw[name].update(columns)
+
+
 class TestCliMalformedArtifacts:
     # a trace iteration with every field but "cost"
     TRACE_WITHOUT_COST = {
         "format": "cobalt-trace",
+        "version": 1,
         "iterations": [
             {
                 "index": 1,
@@ -768,48 +851,49 @@ class TestCliMalformedArtifacts:
         ],
     }
 
-    # one edge in three rows, one of them flipped
+    # one edge three times
     NETWORK_WITH_REPEATED_EDGE = {
         "format": "cobalt-network",
+        "version": 2,
         "layers": ["A"],
-        "nodes": [["a", "A"], ["b", "A"]],
-        "intra_edges": [["a", "b", "A", 1.0], ["b", "a", "A", 5.0], ["a", "b", "A", 2.0]],
-        "inter_edges": [],
+        "vertices": [["a", "A"], ["b", "A"]],
+        "intra_edges": {"a": [0, 0, 0], "b": [1, 1, 1], "w": [1.0, 5.0, 2.0]},
+        "inter_edges": {"a": [], "b": [], "w": []},
     }
 
     @pytest.mark.parametrize(
         "command, payload, field",
         [
-            ("select", {"format": "cobalt-network"}, "layers"),
+            ("select", {"format": "cobalt-network", "version": 2}, "layers"),
             ("select", [], "format"),
             (
                 "select",
-                {
-                    "format": "cobalt-network",
-                    "layers": ["A"],
-                    "nodes": [[1, "A"], ["x", "A"]],
-                    "intra_edges": [],
-                    "inter_edges": [],
-                },
-                "nodes",
+                small_network(lambda raw: raw.update(vertices=[[1, "A"], ["x", "A"]])),
+                "vertices",
             ),
-            (
-                "export",
-                {
-                    "format": "cobalt-network",
-                    "layers": [{}],
-                    "nodes": [],
-                    "intra_edges": [],
-                    "inter_edges": [],
-                },
-                "layers",
-            ),
+            ("export", small_network(lambda raw: raw.update(layers=[{}])), "layers"),
             ("evaluate", TRACE_WITHOUT_COST, "cost"),
-            ("export", {"format": "cobalt-network"}, "layers"),
+            ("export", {"format": "cobalt-network", "version": 2}, "layers"),
             ("select", NETWORK_WITH_REPEATED_EDGE, "intra_edges"),
             ("evaluate", golden_trace(partition_row_in_layer_b), "partition"),
             ("evaluate", golden_trace(every_index_one), "index"),
             ("evaluate", golden_trace(index_true), "index"),
+            # the columnar network's own rules
+            ("select", small_network(edges("intra_edges", w=[1.0, 2.0])), "intra_edges"),
+            ("select", small_network(lambda raw: raw["inter_edges"].pop("w")), "inter_edges"),
+            ("select", small_network(edges("intra_edges", a=[False])), "intra_edges"),
+            ("select", small_network(edges("intra_edges", a=[-1])), "intra_edges"),
+            ("select", small_network(edges("inter_edges", b=[3])), "inter_edges"),
+            ("select", small_network(edges("intra_edges", b=[2**70])), "intra_edges"),
+            ("select", small_network(edges("inter_edges", a=[-(2**70)])), "inter_edges"),
+            ("select", small_network(edges("intra_edges", w=["1.0"])), "intra_edges"),
+            ("select", small_network(edges("intra_edges", w=[10**400])), "intra_edges"),
+            ("select", small_network(lambda raw: raw["vertices"].append(["a", "B"])), "vertices"),
+            ("select", small_network(lambda raw: raw["vertices"].reverse()), "vertices"),
+            ("select", small_network(edges("intra_edges", a=[1], b=[0])), "intra_edges"),
+            ("select", small_network(edges("inter_edges", a=[2], b=[0])), "inter_edges"),
+            ("select", small_network(lambda raw: raw.update(version=1)), "version"),
+            ("export", small_network(lambda raw: raw.pop("version")), "version"),
         ],
     )
     def test_exits_two_naming_the_field(self, command, payload, field, tmp_path, capsys):
