@@ -6,8 +6,9 @@ Artifacts are deterministic JSON: compact, on one line with sorted keys and
 no timestamps, then a newline. ``python -m json.tool --indent 1 --sort-keys``
 lays one out for reading. ``network.json`` (version 2) is columnar: its
 ``vertices`` in vertex order, then each edge set as parallel columns of
-vertex ids ``a``, ``b`` and weights ``w``. Networks can also be exported to
-attributed GraphML.
+vertex ids ``a``, ``b`` and weights ``w``. Readers refuse, naming the field,
+a value not of the exact JSON type asked (``true`` is no number) and a vertex
+listed or assigned twice. Networks can also be exported to attributed GraphML.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .model import (
     NodeRef,
     Partition,
     ScoreTable,
-    vertex_order,
 )
 from .selector import IterationRecord, IterationTrace, LayerCostBreakdown
 
@@ -200,50 +200,34 @@ _NUMBER = (int, float)
 _MEMBER = (str, str, int)
 
 
-def _field(raw: Any, name: str, kind: type | tuple[type, ...]) -> Any:
-    """``raw[name]`` if present and of type ``kind``; otherwise an
-    :class:`InputFormatError` that names the field."""
+def _field(raw: Any, name: str, *kinds: type) -> Any:
+    """``raw[name]`` if present and of exactly one of the types ``kinds``;
+    otherwise an :class:`InputFormatError` that names the field."""
     if name not in raw:
         raise InputFormatError(f"artifact field {name!r} is missing")
     value = raw[name]
-    if not isinstance(value, kind):
+    if type(value) not in kinds:
         raise InputFormatError(
             f"artifact field {name!r} has type {type(value).__name__}"
         )
     return value
 
 
-def _columns(raw: Any, name: str, kinds: tuple) -> list[list]:
-    """Columns of the list field ``name``, whose entries are lists typed by
-    ``kinds``. Types are checked one whole column at a time; the rows are
-    walked one by one only when a check fails."""
+def _columns(raw: Any, name: str, kinds: tuple[type, ...]) -> list[list]:
+    """Columns of the list field ``name``, whose entries are lists of
+    exactly the types ``kinds``. Types are checked one whole column at a time."""
     rows = _field(raw, name, list)
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(kinds)}):
-        _check_rows(rows, name, kinds)
-    columns = [list(map(operator.itemgetter(k), rows)) for k in range(len(kinds))]
-    exact = [set(kind) if isinstance(kind, tuple) else {kind} for kind in kinds]
-    if not all(set(map(type, col)) <= ok for col, ok in zip(columns, exact)):
-        _check_rows(rows, name, kinds)
-    return columns
-
-
-def _check_rows(rows: list, name: str, kinds: tuple) -> None:
-    """Name the first entry that is not a list typed by ``kinds``; subtypes
-    such as ``bool`` for ``int`` pass."""
-    for row in rows:
-        if not (
-            isinstance(row, list)
-            and len(row) == len(kinds)
-            and all(map(isinstance, row, kinds))
-        ):
-            raise InputFormatError(
-                f"artifact field {name!r} holds ill-typed entry {row!r}"
-            )
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(kinds)}:
+        columns = [list(map(operator.itemgetter(k), rows)) for k in range(len(kinds))]
+        if all(set(map(type, col)) <= {kind} for col, kind in zip(columns, kinds)):
+            return columns
+    entry = ", ".join(kind.__name__ for kind in kinds)
+    raise InputFormatError(f"artifact field {name!r} holds an entry that is not [{entry}]")
 
 
 def _layers(raw: dict) -> tuple[str, ...]:
     layers = _field(raw, "layers", list)
-    if not all(isinstance(layer, str) for layer in layers):
+    if not set(map(type, layers)) <= {str}:
         raise InputFormatError(
             f"artifact field 'layers' holds a non-string in {layers!r}"
         )
@@ -290,20 +274,20 @@ def network_from_dict(raw: Any) -> MultiLayerNetwork:
     raw = _artifact(raw, "network", 2)
     layers = _layers(raw)
     vertices = tuple(map(NodeRef, *_columns(raw, "vertices", (str, str))))
-    if len(set(vertices)) != len(vertices) or vertices != vertex_order(layers, vertices):
-        raise InputFormatError("artifact field 'vertices' must list each vertex once, in order")
     intra, inter = (_edge_arrays(raw, name, vertices) for name in ("intra_edges", "inter_edges"))
     try:
         return MultiLayerNetwork(layers, vertices, intra, inter)
-    except ValueError as exc:  # the constructor's message opens with "intra" or "inter"
-        raise InputFormatError(f"artifact field '{str(exc).split()[0]}_edges': {exc}") from exc
+    except ValueError as exc:  # the message opens with the part refused
+        part = str(exc).split()[0].rstrip(":")
+        field = {"intra": "intra_edges", "inter": "inter_edges"}.get(part, part)
+        raise InputFormatError(f"artifact field {field!r}: {exc}") from exc
 
 
 def network_and_pruning(raw: Any) -> tuple[MultiLayerNetwork, dict | None]:
     """The network of a network artifact, and its ``pruning`` block: the
     settings of the filter that made it, or ``None`` where they are unknown."""
     network = network_from_dict(raw)
-    return network, _field(raw, "pruning", (dict, type(None)))
+    return network, _field(raw, "pruning", dict, type(None))
 
 
 def _assignment_rows(partition: Partition) -> list[list]:
@@ -328,12 +312,17 @@ def partition_from_dict(raw: Any) -> Partition:
     assignment = _assignment(raw, "assignment")
     if not assignment:
         raise InputFormatError("artifact field 'assignment' has no rows")
-    return Partition(assignment, _field(raw, "quality", _NUMBER))
+    return Partition(assignment, _field(raw, "quality", *_NUMBER))
 
 
 def _assignment(raw: dict, name: str) -> dict[NodeRef, int]:
     entity, layer, community = _columns(raw, name, _MEMBER)
-    return dict(zip(map(NodeRef, entity, layer), community))
+    assignment = dict(zip(map(NodeRef, entity, layer), community))
+    if len(assignment) != len(community):
+        nodes = sorted(map(NodeRef, entity, layer))
+        twice = next(a for a, b in zip(nodes, nodes[1:]) if a == b)
+        raise InputFormatError(f"artifact field {name!r} assigns vertex {twice} twice")
+    return assignment
 
 
 def trace_to_dict(trace: IterationTrace, config: dict | None = None) -> dict:
@@ -368,22 +357,22 @@ def trace_from_dict(raw: Any) -> IterationTrace:
     raw = _artifact(raw, "trace", 1)
     records = []
     for position, item in enumerate(_field(raw, "iterations", list), start=1):
-        if not isinstance(item, dict):
+        if type(item) is not dict:
             raise InputFormatError(f"artifact field 'iterations' holds {item!r}")
         index = _field(item, "index", int)
-        if type(index) is not int or index != position:
+        if index != position:
             raise InputFormatError(
                 f"artifact field 'index' of iteration {position} reads {index!r}; "
                 "iterations are numbered 1, 2, ... in order"
             )
         layer = _field(item, "layer", str)
-        cost = _field(item, "cost", (*_NUMBER, str, type(None)))
+        cost = _field(item, "cost", *_NUMBER, str, type(None))
         breakdown = None
         if cost is not None:
             breakdown = LayerCostBreakdown(
                 layer,
-                _field(item, "availability", _NUMBER),
-                _field(item, "community_similarity", _NUMBER),
+                _field(item, "availability", *_NUMBER),
+                _field(item, "community_similarity", *_NUMBER),
                 _json_number(cost),
             )
         layers = _layers(item)
@@ -394,7 +383,7 @@ def trace_from_dict(raw: Any) -> IterationTrace:
                 f"artifact field 'partition' of iteration {index} names layer "
                 f"{min(outside)!r}, which is not in its 'layers'"
             )
-        modularity = _field(item, "modularity", _NUMBER)
+        modularity = _field(item, "modularity", *_NUMBER)
         records.append(
             IterationRecord(
                 index=index,

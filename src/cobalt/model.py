@@ -107,17 +107,6 @@ def layer_subset(layers: Sequence[str], chosen: Iterable[str]) -> tuple[str, ...
     return chosen
 
 
-def vertex_order(layers: Sequence[str], nodes: Iterable[NodeRef]) -> tuple[NodeRef, ...]:
-    """``nodes`` ordered by layer (in ``layers`` order), then by entity name."""
-    layer_index = {layer: i for i, layer in enumerate(layers)}
-    if len(layer_index) != len(layers):
-        raise ValueError("duplicate layer in network")
-    for node in nodes:
-        if node.layer not in layer_index:
-            raise ValueError(f"node {node} references unknown layer")
-    return tuple(sorted(nodes, key=lambda n: (layer_index[n.layer], n.entity)))
-
-
 class MultiLayerNetwork:
     """Weighted multi-layer network over node-layer vertices.
 
@@ -125,33 +114,42 @@ class MultiLayerNetwork:
     couple the same entity across two layers. Edges are undirected, stored
     once under the canonical endpoint order, and always carry weight > 0.
 
-    Layout. Vertex ``i`` is ``vertices[i]``, in :func:`vertex_order` (the
-    supra-graph order); ``layer_of`` and ``entity_of`` give its layer index
-    and the rank of its entity name. Edges live in two :class:`EdgeArrays`
-    over these ids, ``intra`` with ``a < b`` and ``inter`` with ``a`` in the
-    layer whose name sorts first: both are the canonical key order.
-    The constructor takes the two edge sets as :class:`EdgeArrays` in this
-    layout and checks every edge; an error opens with the set, ``intra`` or
-    ``inter``, that breaks a rule. ``intra_edges`` and ``inter_edges`` are
-    read-only mapping views of them, built on first access.
+    Layout. Vertex ``i`` is ``vertices[i]``, in supra-graph order: by layer
+    (in ``layers`` order), then by entity name, so a layer's vertices are one
+    block; ``layer_of`` gives each vertex's layer index. Edges live in two
+    :class:`EdgeArrays` over these ids, ``intra`` with ``a < b`` and
+    ``inter`` with ``a`` in the layer whose name sorts first: both are the
+    canonical key order. The constructor takes vertices and edges in this
+    layout and checks them, never reorders them; an error opens with the
+    part it refuses: ``layers``, ``vertices``, ``intra`` or ``inter``.
+    ``nodes`` (the vertex set), ``intra_edges`` and ``inter_edges``
+    (read-only mapping views of the edges) are built on first access.
     """
 
     def __init__(
         self,
         layers: Iterable[str],
-        nodes: Iterable[NodeRef],
+        vertices: Iterable[NodeRef],
         intra: EdgeArrays,
         inter: EdgeArrays,
     ):
         self.layers: tuple[str, ...] = tuple(layers)
-        self.nodes: frozenset[NodeRef] = frozenset(nodes)
-        self.vertices = vertex_order(self.layers, self.nodes)
+        self.vertices: tuple[NodeRef, ...] = tuple(vertices)
         layer_index = {layer: i for i, layer in enumerate(self.layers)}
-        rank = {e: i for i, e in enumerate(sorted({n.entity for n in self.nodes}))}
-        self.layer_of = np.array([layer_index[n.layer] for n in self.vertices], dtype=np.int64)
-        self.entity_of = np.array([rank[n.entity] for n in self.vertices], dtype=np.int64)
+        if len(layer_index) != len(self.layers):
+            twice = min(l for l in layer_index if self.layers.count(l) > 1)
+            raise ValueError(f"layers: {twice!r} is listed twice")
+        # one pass: each vertex's sort key must exceed the one before it
+        keys = [(layer_index.get(v.layer, -1), v.entity) for v in self.vertices]
+        for v, key, before in zip(self.vertices, keys, [(-1, ""), *keys]):
+            if key[0] < 0:
+                raise ValueError(f"vertices: {v} is in no layer of {self.layers}")
+            if key <= before:
+                problem = "listed twice" if key == before else "out of order"
+                raise ValueError(f"vertices: {v} is {problem}")
+        self.layer_of = np.array([i for i, _ in keys], dtype=np.int64)
         self.intra, self.inter = intra, inter
-        for array in (self.layer_of, self.entity_of, *self.intra, *self.inter):
+        for array in (self.layer_of, *self.intra, *self.inter):
             array.flags.writeable = False
         name_rank = layer_name_rank(self.layers)
         for kind, (a, b, w) in (("intra", self.intra), ("inter", self.inter)):
@@ -163,7 +161,8 @@ class MultiLayerNetwork:
             if kind == "intra":
                 rule, canonical = (la != lb, "edge {}-{} spans layers"), a < b
             else:
-                split = (self.entity_of[a] != self.entity_of[b]) | (la == lb)
+                entity = np.array([v.entity for v in self.vertices], dtype=object)
+                split = (entity[a] != entity[b]) | (la == lb)
                 rule = split, "edge {}-{} must couple one entity across layers"
                 canonical = name_rank[la] < name_rank[lb]
             # every rule over all edges at once; the first edge breaking the
@@ -185,6 +184,10 @@ class MultiLayerNetwork:
         return MappingProxyType({(v[i], v[j]): x for i, j, x in zip(a, b, w)})
 
     @cached_property
+    def nodes(self) -> frozenset[NodeRef]:
+        return frozenset(self.vertices)
+
+    @cached_property
     def intra_edges(self) -> Mapping[Edge, float]:
         return self._view(self.intra)
 
@@ -193,20 +196,23 @@ class MultiLayerNetwork:
         return self._view(self.inter)
 
     def layer_nodes(self, layer: str) -> set[str]:
-        return {n.entity for n in self.nodes if n.layer == layer}
+        return {n.entity for n in self.vertices if n.layer == layer}
 
     def subnetwork(self, layers: Iterable[str]) -> "MultiLayerNetwork":
         """Induced network on ``layers`` (order taken from the argument)."""
         chosen = layer_subset(self.layers, layers)
-        kept = [n for n in self.vertices if n.layer in chosen]
-        index = {n: i for i, n in enumerate(vertex_order(chosen, kept))}
-        new_id = np.array([index.get(n, -1) for n in self.vertices], dtype=np.int64)
+        # the chosen layers' vertex blocks, in the chosen order
+        blocks = [np.flatnonzero(self.layer_of == self.layers.index(l)) for l in chosen]
+        old = np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
+        new_id = np.full(len(self.vertices), -1, dtype=np.int64)
+        new_id[old] = np.arange(len(old))
 
         def induced(edges: EdgeArrays) -> EdgeArrays:
             a, b = new_id[edges.a], new_id[edges.b]
             inside = (a >= 0) & (b >= 0)
             return EdgeArrays(a[inside], b[inside], edges.w[inside])
 
+        kept = [self.vertices[i] for i in old.tolist()]
         return MultiLayerNetwork(chosen, kept, induced(self.intra), induced(self.inter))
 
 

@@ -127,4 +127,4 @@ def prune_network(
             part = edges if inside.all() else EdgeArrays(*(x[inside] for x in edges))
             keep[inside] = _significant(part, alpha, scale)
         kept.append(EdgeArrays(*(x[keep] for x in edges)))
-    return MultiLayerNetwork(mln.layers, mln.nodes, *kept)
+    return MultiLayerNetwork(mln.layers, mln.vertices, *kept)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from cobalt.community import _GAIN_TOL, _Level, _draw
-from cobalt.model import EdgeArrays, MultiLayerNetwork, NodeRef, ScoreTable, vertex_order
+from cobalt.model import EdgeArrays, MultiLayerNetwork, NodeRef, ScoreTable
 from cobalt.pruning import prune_network
 
 
@@ -58,9 +58,13 @@ def network_of(
     inter: Mapping[tuple[NodeRef, NodeRef], float],
 ) -> MultiLayerNetwork:
     """Network whose edge arrays list the keys of ``intra`` and ``inter`` as
-    given, endpoints mapped to their ids in :func:`vertex_order`. An endpoint
-    outside ``nodes`` gets the id one past the last vertex."""
-    index = {v: i for i, v in enumerate(vertex_order(layers, nodes))}
+    given. ``nodes``, in any order, are sorted into vertex order (by layer in
+    ``layers`` order, a layer outside them last, then by entity) and each
+    endpoint is mapped to its id there. An endpoint outside ``nodes`` gets
+    the id one past the last vertex."""
+    rank = {layer: i for i, layer in enumerate(layers)}
+    vertices = sorted(nodes, key=lambda n: (rank.get(n.layer, len(rank)), n.entity))
+    index = {v: i for i, v in enumerate(vertices)}
 
     def arrays(edges: Mapping[tuple[NodeRef, NodeRef], float]) -> EdgeArrays:
         ids = [[index.get(v, len(index)) for v in edge] for edge in edges]
@@ -68,7 +72,7 @@ def network_of(
         ids = ids.reshape(-1, 2)
         return EdgeArrays(ids[:, 0], ids[:, 1], np.array(list(edges.values()), dtype=float))
 
-    return MultiLayerNetwork(layers, nodes, arrays(intra), arrays(inter))
+    return MultiLayerNetwork(layers, vertices, arrays(intra), arrays(inter))
 
 
 # weights spanning six decades, plus the tie weight 1/(2 * 1e-9), so that

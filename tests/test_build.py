@@ -201,7 +201,7 @@ class TestExtendMln:
 
     def test_duplicate_layer_rejected(self):
         table = table_of({"A": [1.0, 2.0], "B": [3.0, 1.0]})
-        with pytest.raises(ValueError, match="duplicate layer"):
+        with pytest.raises(ValueError, match="layers: 'A' is listed twice"):
             build_network(table, ["A", "A"])
 
     def test_build_network_matches_reference_builder(self):

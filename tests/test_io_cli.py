@@ -294,7 +294,7 @@ class TestDumpJson:
 
 
 # rows that pass or fail the (str, str, int) entry rule in every way: bools
-# pass as ints, tuples and short or long rows fail
+# are no ints, tuples and short or long rows fail, and a vertex may repeat
 member_cells = st.text(max_size=2) | st.integers(-3, 3) | st.booleans() | st.floats(0, 1)
 member_rows = (
     st.lists(member_cells, min_size=2, max_size=4)
@@ -308,23 +308,27 @@ class TestArtifactRows:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(member_rows, max_size=6))
     def test_column_checks_match_the_per_row_rule(self, rows):
+        # JSON gives exact types, so the rule is exact too: true is no int
         kinds = (str, str, int)
         bad = [
             row
             for row in rows
             if not (
-                isinstance(row, list)
+                type(row) is list
                 and len(row) == 3
-                and all(isinstance(v, k) for v, k in zip(row, kinds))
+                and all(type(v) is k for v, k in zip(row, kinds))
             )
         ]
         raw = {"format": "cobalt-partition", "version": 1, "assignment": rows, "quality": 0.0}
         if bad:
-            message = re.escape(f"ill-typed entry {bad[0]!r}")
+            message = re.escape("'assignment' holds an entry that is not [str, str, int]")
             with pytest.raises(cio.InputFormatError, match=message):
                 cio.partition_from_dict(raw)
         elif not rows:
             with pytest.raises(cio.InputFormatError, match="'assignment' has no rows"):
+                cio.partition_from_dict(raw)
+        elif len({(e, l) for e, l, _ in rows}) < len(rows):
+            with pytest.raises(cio.InputFormatError, match="'assignment' assigns vertex .* twice"):
                 cio.partition_from_dict(raw)
         else:
             assignment = cio.partition_from_dict(raw).assignment
@@ -827,6 +831,19 @@ def small_network(edit) -> dict:
     return raw
 
 
+def small_partition(edit) -> dict:
+    """A valid partition artifact over the vertices of :func:`small_network`,
+    passed through ``edit``."""
+    raw = {
+        "format": "cobalt-partition",
+        "version": 1,
+        "quality": 0.0,
+        "assignment": [["a", "A", 0], ["a", "B", 0], ["b", "A", 1]],
+    }
+    edit(raw)
+    return raw
+
+
 def edges(name: str, **columns: list):
     """An edit that sets ``columns`` of the edge field ``name``."""
     return lambda raw: raw[name].update(columns)
@@ -894,6 +911,17 @@ class TestCliMalformedArtifacts:
             ("select", small_network(edges("inter_edges", a=[2], b=[0])), "inter_edges"),
             ("select", small_network(lambda raw: raw.update(version=1)), "version"),
             ("export", small_network(lambda raw: raw.pop("version")), "version"),
+            # the constructor's own refusals name their field too
+            ("select", small_network(lambda raw: raw["vertices"].append(["c", "Z"])), "vertices"),
+            ("select", small_network(lambda raw: raw.update(layers=["A", "A"])), "layers"),
+            # JSON gives exact types: true is no number, and no vertex is assigned twice
+            ("partition", small_partition(lambda raw: raw["assignment"][0].__setitem__(2, True)),
+             "assignment"),
+            ("partition", small_partition(lambda raw: raw.update(quality=True)), "quality"),
+            ("evaluate", golden_trace(lambda its: its[0].update(modularity=False)), "modularity"),
+            ("evaluate", golden_trace(lambda its: its[0].update(nodes=True)), "nodes"),
+            ("partition", small_partition(lambda raw: raw["assignment"].append(["b", "A", 0])),
+             "assignment"),
         ],
     )
     def test_exits_two_naming_the_field(self, command, payload, field, tmp_path, capsys):
@@ -908,6 +936,10 @@ class TestCliMalformedArtifacts:
             tgt = tmp_path / "tgt.csv"
             tgt.write_text("entity,A_t1\ne1,1\ne2,2\ne3,3\n")
             argv = ["evaluate", str(scores), str(cov), str(tgt), "--trace", str(artifact)]
+        elif command == "partition":
+            network = tmp_path / "network.json"
+            network.write_text(json.dumps(small_network(lambda raw: None)))
+            argv = ["export", str(network), "--partition", str(artifact)]
         else:
             argv = [command, str(artifact)]
         assert cli.main(argv + out) == 2

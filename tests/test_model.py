@@ -12,7 +12,6 @@ from cobalt.model import (
     NodeRef,
     ScoreTable,
     validate_score_table,
-    vertex_order,
 )
 from cobalt.pipeline import build_pruned_network
 
@@ -188,8 +187,24 @@ class TestNetworkInvariants:
         none = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="endpoint outside node set"):
             MultiLayerNetwork(
-                ("A",), {a, b, c}, EdgeArrays(*ids, np.ones(1)), EdgeArrays(none, none, none)
+                ("A",), [a, b, c], EdgeArrays(*ids, np.ones(1)), EdgeArrays(none, none, none)
             )
+
+    @pytest.mark.parametrize(
+        "layers, vertices, message",
+        [
+            # edge 0-1 would silently become a-b if the vertices were sorted
+            (("A",), ["c", "a", "b"], "vertices: .*'a'.* is out of order"),
+            (("A", "B"), [("a", "B"), ("a", "A")], "vertices: .*'A'.* is out of order"),
+            (("A",), ["a", "b", "b"], "vertices: .*'b'.* is listed twice"),
+        ],
+    )
+    def test_vertices_are_checked_never_reordered(self, layers, vertices, message):
+        vertices = [NodeRef(*v) if isinstance(v, tuple) else NodeRef(v, "A") for v in vertices]
+        one = EdgeArrays(np.array([0]), np.array([1]), np.ones(1))
+        none = EdgeArrays(*(np.zeros(0, dtype=np.int64),) * 2, np.zeros(0))
+        with pytest.raises(ValueError, match=message):
+            MultiLayerNetwork(layers, vertices, one, none)
 
     def test_subnetwork_keeps_only_chosen_layers(self):
         a1, b1 = NodeRef("e1", "A"), NodeRef("e2", "A")
@@ -207,8 +222,8 @@ _ALL = frozenset({_A1, _A2, _B1, _C2})
 
 
 _NETWORK_RULES = [
-        (("A", "A"), frozenset(), {}, {}, "duplicate layer in network"),
-        (("A",), frozenset({_A1, _B1}), {}, {}, "references unknown layer"),
+        (("A", "A"), frozenset(), {}, {}, "layers: 'A' is listed twice"),
+        (("A",), frozenset({_A1, _B1}), {}, {}, "vertices: .* is in no layer of"),
         (("A", "B"), _ALL, {(_A1, _B1): 1.0}, {}, "intra edge .* spans layers"),
         (("A", "B"), _ALL, {}, {(_A1, _C2): 1.0}, "must couple one entity across layers"),
         (("A", "B"), _ALL, {}, {(_A1, _A1): 1.0}, "must couple one entity across layers"),
@@ -280,7 +295,9 @@ class TestEdgeArrays:
         keep = set(chosen)
         assert sub.layers == tuple(chosen)
         assert sub.nodes == {n for n in nodes if n.layer in keep}
-        assert sub.vertices == vertex_order(chosen, sub.nodes)
+        assert sub.vertices == tuple(
+            sorted(sub.nodes, key=lambda n: (chosen.index(n.layer), n.entity))
+        )
         assert dict(sub.intra_edges) == {e: w for e, w in intra.items() if e[0].layer in keep}
         assert dict(sub.inter_edges) == {
             e: w for e, w in inter.items() if {e[0].layer, e[1].layer} <= keep
