@@ -187,15 +187,6 @@ def _one_hot(labels: Sequence, levels: Sequence) -> np.ndarray:
     return block
 
 
-def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Penalized least squares with an unpenalized intercept (column 0).
-
-    lam = 0 reduces to ordinary least squares and raises on a singular
-    normal system.
-    """
-    return _solve_ridge(X.T @ X, X.T @ y, lam)
-
-
 def _solve_ridge(gram: np.ndarray, moment: np.ndarray, lam: float) -> np.ndarray:
     """Coefficients from the normal system ``(gram + penalty) beta = moment``."""
     if lam < 0:

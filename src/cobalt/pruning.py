@@ -9,10 +9,29 @@ tail probability above the significance level are removed.
 
 Intra-layer edges of each layer form their own null universe, as does the
 inter-layer edge set of each unordered layer pair.
+
+The exact judge of an edge is scipy's ``betainc``. Two classical bounds on
+the binomial tail settle most edges first, and only the rest reach it:
+
+- *keep* when c > mu = E p and the Chernoff bound exp(-E D(c/E || p)) is at
+  most alpha / 2, D being the Kullback-Leibler divergence of Bernoulli laws;
+- *drop* when alpha < 1/2 and c <= floor(mu): every median of Binomial(E, p)
+  is at least floor(E p) (Kaas & Buhrman 1980), so the tail is above 1/2.
+
+Neither rule can change a verdict. The Chernoff bound is never below the
+exact tail, so a settled keep has a tail of at most alpha / 2, and betainc,
+accurate to far better than a factor of 2, reads at most alpha too. A
+settled drop has a tail above 1/2 > alpha. Both rules lean against settling
+by ``_ROUNDING`` (2^-40 relative), which dwarfs the few units in the last
+place that float arithmetic costs the exponent and the mean. That allowance
+relies on p <= 1/2, which holds for every edge of a universe: its endpoint
+strengths sum to at most 2E. Integer-scored layers, where ties dominate,
+leave few close calls or none, and a command with none never imports scipy.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -21,6 +40,9 @@ from .model import EdgeArrays, MultiLayerNetwork
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_SCALE = 1000.0
+
+# relative allowance for rounding, against settling an edge without betainc
+_ROUNDING = 2.0**-40
 
 
 def _quantize(w: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -59,15 +81,26 @@ def edge_p_value(count, k_i, k_j, total):
     Computed through the regularized incomplete beta function, which equals
     the binomial survival sum exactly and stays stable for large E.
     """
-    # imported here, not at module level: scipy roughly doubles the start-up
-    # of every command, and only the commands that filter edges need it
-    from scipy.special import betainc
+    return _upper_tail(count, _null_probability(count, k_i, k_j, total), total)
 
+
+def _null_probability(count, k_i, k_j, total):
+    """The null model's p = k_i k_j / (2 E^2), after refusing a count outside
+    [1, E]; a p above 1 is refused too."""
     if np.any((count < 1) | (count > total)):
         raise ValueError(f"count outside [1, {total}]")
     p = k_i * k_j / (2.0 * total * total)
     if np.any(p > 1.0):
         raise ValueError("null probability > 1; degrees violate the model")
+    return p
+
+
+def _upper_tail(count, p, total):
+    """Pr(Binomial(total, p) >= count), as betainc(count, total - count + 1, p)."""
+    # imported here, not at module level: scipy roughly doubles the start-up
+    # of a command, and only edges that the bounds leave open need it
+    from scipy.special import betainc
+
     return betainc(count, total - count + 1.0, p)
 
 
@@ -83,15 +116,69 @@ def _endpoint_strengths(
     return k[a], k[b]
 
 
+def _bound_verdicts(
+    counts: np.ndarray, p: np.ndarray, total: float, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The verdicts the two tail bounds settle (module docstring), and the
+    indices of the edges they leave to betainc, whose verdicts read False."""
+    mean = p * total
+    above = np.flatnonzero(counts > mean)
+    if alpha < 0.5:
+        mean *= 1.0 - _ROUNDING
+        undecided = counts > mean
+    else:
+        undecided = np.ones(len(counts), dtype=bool)
+    del mean
+    # E D(c/E || p) = c ln(c / mu) + (E - c) ln((E - c) / (E - mu)) over the
+    # edges above their mean, as near = c log1p((c - mu) / mu) plus
+    # far = (E - c) log1p((c - mu) / (mu - E))
+    c = counts[above]
+    mu = p[above]
+    mu *= total
+    gap = c - mu
+    near = gap / mu
+    np.log1p(near, out=near)
+    near *= c
+    mu -= total
+    np.divide(gap, mu, out=gap)
+    del mu
+    np.subtract(total, c, out=c)
+    far = np.zeros_like(gap)
+    # skipped at c = E, where the term is 0; a term rounded to -inf settles nothing
+    with np.errstate(divide="ignore"):
+        np.log1p(gap, out=far, where=c > 0)
+    del gap
+    far *= c
+    del c
+    # each term moved by the allowance against the keep
+    near *= 1.0 - _ROUNDING
+    far *= 1.0 + _ROUNDING
+    near += far
+    del far
+    kept = above[near >= math.log(2.0) - math.log(alpha)]
+    del near
+    undecided[kept] = False
+    verdict = np.zeros(len(counts), dtype=bool)
+    verdict[kept] = True
+    return verdict, np.flatnonzero(undecided)
+
+
 def _significant(edges: EdgeArrays, alpha: float, scale: float) -> np.ndarray:
     """Mask of the edges of one universe whose p-value is at most ``alpha``."""
     live, counts, total = _quantize(edges.w, scale)
     keep = np.zeros(len(live), dtype=bool)
     if total:
         k_a, k_b = _endpoint_strengths(edges.a[live], edges.b[live], counts)
-        # rebound, so the int64 counts are freed before the p-values are made
+        # rebound, so the int64 counts are freed before the bounds are taken
         counts = counts.astype(np.float64)
-        keep[live] = edge_p_value(counts, k_a, k_b, float(total)) <= alpha
+        total = float(total)
+        p = _null_probability(counts, k_a, k_b, total)
+        del k_a, k_b
+        verdict, close = _bound_verdicts(counts, p, total, alpha)
+        # only close calls reach betainc: a universe without one never imports scipy
+        if len(close):
+            verdict[close] = _upper_tail(counts[close], p[close], total) <= alpha
+        keep[live] = verdict
     return keep
 
 

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import chain, combinations
 from pathlib import Path
 from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from cobalt.community import _GAIN_TOL, _Level, _draw
+from cobalt.evaluation import _solve_ridge
 from cobalt.model import EdgeArrays, MultiLayerNetwork, NodeRef, ScoreTable
 from cobalt.pruning import prune_network
 
@@ -566,6 +568,18 @@ def p_value_oracle(count: int, k_i: int, k_j: int, total: int) -> float:
     return sum(binomial_pmf_oracle(m, total, p) for m in range(count, total + 1))
 
 
+def exact_tail_oracle(count: int, total: int, p: float) -> Fraction:
+    """Pr(Binomial(total, p) >= count) in exact rational arithmetic, for the
+    float ``p`` taken at its exact binary value."""
+    q = Fraction(p)
+    num, den = q.numerator, q.denominator
+    tail = sum(
+        math.comb(total, m) * num**m * (den - num) ** (total - m)
+        for m in range(count, total + 1)
+    )
+    return Fraction(tail, den**total)
+
+
 class NullContext(NamedTuple):
     """E and the quantized strength of every node of one universe."""
 
@@ -660,6 +674,14 @@ def prune_graph(
 
 # ---------------------------------------------------------------------------
 # regression oracle
+
+
+def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Penalized least squares with an unpenalized intercept (column 0), from
+    its own normal system: the one fit that each of ``cross_validate``'s
+    per-fold solves must equal. lam = 0 reduces to ordinary least squares and
+    raises on a singular normal system."""
+    return _solve_ridge(X.T @ X, X.T @ y, lam)
 
 
 def least_squares_oracle(X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from cobalt import io as cio
 from cobalt.community import LeidenConfig, SupraGraph, leiden, multislice_modularity
 from cobalt.compare import bidirectional_f, one_way_f
 from cobalt.config import PipelineConfig
-from cobalt.evaluation import cross_validate, fit_ridge, missingness_sweep
+from cobalt.evaluation import cross_validate, missingness_sweep
 from cobalt.model import ScoreTable
 from cobalt.pipeline import build_pruned_network
 from cobalt.pruning import edge_p_value, quantize_weights
@@ -35,6 +35,7 @@ from _support import (
     binomial_pmf_oracle,
     co_membership,
     communities_connected,
+    fit_ridge,
     halves_and_parity_table,
     least_squares_oracle,
     mln_from_edges,

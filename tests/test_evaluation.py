@@ -10,7 +10,6 @@ from cobalt.evaluation import (
     build_design_matrix,
     cross_validate,
     derive_seed,
-    fit_ridge,
     inject_missingness,
     missingness_sweep,
     regression_report,
@@ -18,7 +17,7 @@ from cobalt.evaluation import (
 from cobalt.model import CovariateTable, ScoreTable
 from cobalt.pipeline import run_selection
 
-from _support import halves_and_parity_table, least_squares_oracle, planted_table
+from _support import fit_ridge, halves_and_parity_table, least_squares_oracle, planted_table
 
 
 def complete_table(n=100, seed=0):
@@ -164,6 +163,9 @@ class TestBuildDesignMatrix:
 
 
 class TestFitRidge:
+    """The test-side ridge reference, which test_equals_one_fit_per_lambda_and_fold
+    holds ``cross_validate`` to."""
+
     def test_ols_two_by_two(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([1.0, 3.0])

@@ -2,6 +2,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +11,19 @@ from hypothesis import assume, given, settings, strategies as st
 from cobalt import cli
 from cobalt.build import build_network
 from cobalt.config import PipelineConfig, PruningConfig
-from cobalt.model import NodeRef, ScoreTable
+from cobalt.model import EdgeArrays, NodeRef, ScoreTable
 from cobalt.pipeline import build_pruned_network
-from cobalt.pruning import edge_p_value, prune_network, quantize_weights
+from cobalt.pruning import (
+    _bound_verdicts,
+    _significant,
+    edge_p_value,
+    prune_network,
+    quantize_weights,
+)
 
 from _support import (
     binomial_pmf_oracle,
+    exact_tail_oracle,
     mln_from_edges,
     null_context,
     p_value_oracle,
@@ -318,6 +326,121 @@ class TestQuantizedTotalLimit:
         assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
         assert "2**63 - 1" in capsys.readouterr().err
 
+
+@st.composite
+def universes(draw, weights, max_vertices=12, max_edges=40):
+    """Edge arrays of one universe: distinct vertex pairs, each with a weight
+    drawn from ``weights``."""
+    n = draw(st.integers(2, max_vertices))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    pairs = draw(st.lists(pair, min_size=1, max_size=max_edges, unique=True))
+    w = draw(st.lists(weights, min_size=len(pairs), max_size=len(pairs)))
+    a, b = np.array(pairs, dtype=np.int64).T
+    return EdgeArrays(a, b, np.array(w, dtype=float))
+
+
+# from single units to tie-sized counts: 1e12 at scale 1, 1e15 at scale 1000,
+# where 40 edges pass 2^53
+universe_weights = (
+    st.integers(0, 30) | st.integers(31, 10**4) | st.just(10**12) | st.floats(0.0, 5.0)
+)
+significance_levels = st.sampled_from(
+    [1e-300, 1e-6, 0.01, 0.05, 0.3, 0.49, float(np.nextafter(0.5, 0.0)), 0.5, 0.75, 1.0]
+) | st.floats(1e-12, 1.0)
+
+
+def p_value_verdicts(edges: EdgeArrays, alpha: float, scale: float) -> np.ndarray:
+    """``edge_p_value(...) <= alpha`` for each edge of one universe, in order,
+    with scipy's betainc judging every edge; an edge quantized to no count
+    is dropped."""
+    pairs = list(zip(edges.a.tolist(), edges.b.tolist()))
+    counts = reference_quantize(dict(zip(pairs, edges.w.tolist())), scale)
+    verdict = np.zeros(len(pairs), dtype=bool)
+    if counts:
+        total, degrees = null_context(counts)
+        pv = edge_p_value(
+            np.array(list(counts.values()), dtype=float),
+            np.array([degrees[a] for a, _ in counts], dtype=float),
+            np.array([degrees[b] for _, b in counts], dtype=float),
+            float(total),
+        )
+        verdict[[pair in counts for pair in pairs]] = pv <= alpha
+    return verdict
+
+
+def near(level: float) -> list[float]:
+    """``level``, its two float neighbours and 1.5 times it, inside (0, 1]."""
+    levels = [level, np.nextafter(level, 0.0), np.nextafter(level, 1.0), 1.5 * level]
+    return [float(x) for x in levels if 0.0 < x <= 1.0]
+
+
+def bounds_of(edges: EdgeArrays, alpha: float):
+    """Counts, null probabilities and total of a universe of integer weights
+    at scale 1, with the verdicts and open edges of ``_bound_verdicts``."""
+    counts = edges.w
+    size = max(edges.a.max(), edges.b.max()) + 1
+    strengths = np.bincount(edges.a, counts, size) + np.bincount(edges.b, counts, size)
+    total = float(counts.sum())
+    p = strengths[edges.a] * strengths[edges.b] / (2.0 * total * total)
+    return (counts, p, total, *_bound_verdicts(counts, p, total, alpha))
+
+
+def check_settled_exactly(edges: EdgeArrays, alpha: float) -> None:
+    """What the bounds settle, the exact tail confirms with room to spare: a
+    kept edge's tail is at most alpha / 2, and a dropped edge's at least 1/2
+    while alpha < 1/2. That room keeps betainc's own rounding from flipping a
+    settled verdict, so this check sees what verdict equality cannot: a
+    bound that holds only just, or not at all, before betainc rounds."""
+    counts, p, total, verdict, close = bounds_of(edges, alpha)
+    assert not verdict[close].any()
+    settled = np.ones(len(counts), dtype=bool)
+    settled[close] = False
+    for c, q, keep in zip(counts[settled], p[settled], verdict[settled]):
+        tail = exact_tail_oracle(int(c), int(total), float(q))
+        if keep:
+            assert tail <= Fraction(alpha) / 2, (c, q, total, alpha)
+        else:
+            assert alpha < 0.5 and tail >= Fraction(1, 2), (c, q, total, alpha)
+
+
+class TestBoundVerdicts:
+    """``_significant`` settles the clear edges with tail bounds and sends
+    only the rest to betainc; every verdict must still be betainc's."""
+
+    @given(universes(universe_weights), significance_levels, st.sampled_from([1.0, 1000.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_betainc_verdicts(self, edges, alpha, scale):
+        got = _significant(edges, alpha, scale)
+        assert got.tolist() == p_value_verdicts(edges, alpha, scale).tolist()
+
+    @given(universes(st.integers(1, 8), max_vertices=8, max_edges=12), significance_levels)
+    @settings(max_examples=200, deadline=None)
+    def test_settled_verdicts_hold_exactly(self, edges, alpha):
+        check_settled_exactly(edges, alpha)
+
+    def test_count_equal_to_total(self):
+        """A universe of one edge has c = E and p = 1/2, where the Chernoff
+        bound equals the tail 2^-E; alpha runs round 2^-E and 2^(1-E)."""
+        for total in range(1, 1001):
+            edges = EdgeArrays(np.array([0]), np.array([1]), np.array([float(total)]))
+            for alpha in near(2.0**-total) + near(2.0 ** (1 - total)):
+                got = _significant(edges, alpha, 1.0)
+                assert got.tolist() == p_value_verdicts(edges, alpha, 1.0).tolist()
+                if total <= 300:
+                    check_settled_exactly(edges, alpha)
+
+    def test_tie_sized_counts_past_two_to_the_53(self):
+        """An integer-scored layer in miniature: 300 vertices scored 0..3,
+        ties of count 1e12 and the rest 1000 / gap, so the total passes 2^53."""
+        scores = np.random.default_rng(21).integers(0, 4, size=300)
+        a, b = np.triu_indices(300, k=1)
+        gap = np.abs(scores[a] - scores[b]).astype(float)
+        w = np.where(gap == 0, 1e12, 1000.0 / np.maximum(gap, 1.0))
+        edges = EdgeArrays(a.astype(np.int64), b.astype(np.int64), w)
+        assert w.sum() > 2.0**53
+        for alpha in (1e-300, 0.05, 0.49, 0.5, 1.0):
+            got = _significant(edges, alpha, 1.0)
+            assert got.tolist() == p_value_verdicts(edges, alpha, 1.0).tolist()
 
 @st.composite
 def score_tables(draw):

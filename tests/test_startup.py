@@ -1,14 +1,17 @@
 """The start-up path: ``import cobalt.cli`` loads numpy but not scipy.
 
-Only the commands that filter edges import scipy, at their first p-value.
-Each check runs in a fresh interpreter, because the test process has
-imported scipy already.
+Only the commands that filter edges can import scipy, and only at the first
+edge whose verdict the tail bounds leave open. Each check runs in a fresh
+interpreter, because the test process has imported scipy already.
 """
 
+import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import cobalt
 
@@ -66,3 +69,26 @@ def test_only_filtering_commands_import_scipy(tmp_path):
         "export 0 False",
         "build 0 True",
     ]
+
+
+SELECT = """
+import sys
+from cobalt import cli
+
+scores, out = sys.argv[1:]
+code = cli.main(["select", scores, "--out-dir", out])
+print(code, "scipy" in sys.modules)
+"""
+
+
+def test_tie_heavy_select_settles_every_edge_without_scipy(tmp_path):
+    """Integer scores 0..10 make every pair a tie or far from one, so the
+    tail bounds settle every edge and betainc, with scipy, is never needed."""
+    scores = np.random.default_rng(3).integers(0, 11, size=(100, 6))
+    path = tmp_path / "scores.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["entity", *(f"L{j + 1}" for j in range(6))])
+        writer.writerows([f"e{i:03d}", *row] for i, row in enumerate(scores.tolist()))
+    lines = run_fresh(SELECT, str(path), str(tmp_path / "out"))
+    assert [line for line in lines if not line.startswith("wrote ")] == ["0 False"]
