@@ -282,16 +282,13 @@ def _null_scores(
     inv_layer_weight: list[float],
 ):
     """gamma-free null interaction between a vertex and each of ``comms``,
-    adding the vertex's layers in order.
-
-    A one-layer vertex skips the ``0.0 +``, which changes only the sign of a
-    zero; a candidate's positive link minus either zero is the same score.
+    adding the vertex's layers in order from the first term, not ``0.0 +``
+    it: that changes only the sign of a zero, and a candidate's positive
+    link minus either zero is the same score.
     """
-    if len(terms) == 1:
-        layer, k = terms[0]
-        return k * comm_strengths[layer][comms] * inv_layer_weight[layer]
-    total = 0.0
-    for layer, k in terms:
+    layer, k = terms[0]
+    total = k * comm_strengths[layer][comms] * inv_layer_weight[layer]
+    for layer, k in terms[1:]:
         total = total + k * comm_strengths[layer][comms] * inv_layer_weight[layer]
     return total
 

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Any
 
 from .community import LeidenConfig
-from .pruning import DEFAULT_ALPHA, DEFAULT_SCALE, check_alpha
+from .pruning import DEFAULT_ALPHA, DEFAULT_SCALE, check_alpha, check_scale
 from .selector import STOPPING_MODES
 
 DEFAULT_SWEEP_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -53,8 +53,7 @@ class PruningConfig:
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
-        if not self.quantization > 0.0:
-            raise ValueError(f"quantization must be positive, got {self.quantization}")
+        check_scale(self.quantization)
 
 
 @dataclass(frozen=True)
@@ -126,17 +125,12 @@ class PipelineConfig:
         """Config from parsed JSON; a malformed section or field is named."""
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {raw!r}")
-        known = {"pruning", "leiden", "selector", "sweep", "regression"}
-        unknown = set(raw) - known
+        # each section's class is its field's default factory
+        sections = {f.name: f.default_factory for f in fields(cls)}
+        unknown = set(raw) - set(sections)
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
-        return cls(
-            pruning=_section(raw, "pruning", PruningConfig),
-            leiden=_section(raw, "leiden", LeidenConfig),
-            selector=_section(raw, "selector", SelectorConfig),
-            sweep=_section(raw, "sweep", SweepConfig),
-            regression=_section(raw, "regression", RegressionConfig),
-        )
+        return cls(**{name: _section(raw, name, kind) for name, kind in sections.items()})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":

@@ -176,12 +176,6 @@ def _json_safe(value: Any) -> Any:
     return "inf" if value > 0 else "-inf"
 
 
-def _json_number(raw: Any) -> float:
-    if isinstance(raw, str):
-        return float(raw)
-    return raw
-
-
 def network_to_dict(
     network: MultiLayerNetwork, pruning_meta: dict | None = None
 ) -> dict:
@@ -367,13 +361,20 @@ def trace_from_dict(raw: Any) -> IterationTrace:
             )
         layer = _field(item, "layer", str)
         cost = _field(item, "cost", *_NUMBER, str, type(None))
+        # the one string the writer spells: the cost at zero availability
+        if type(cost) is str:
+            if cost != "inf":
+                raise InputFormatError(
+                    f"artifact field 'cost' reads {cost!r}, not a number or 'inf'"
+                )
+            cost = math.inf
         breakdown = None
         if cost is not None:
             breakdown = LayerCostBreakdown(
                 layer,
                 _field(item, "availability", *_NUMBER),
                 _field(item, "community_similarity", *_NUMBER),
-                _json_number(cost),
+                cost,
             )
         layers = _layers(item)
         assignment = _assignment(item, "partition")

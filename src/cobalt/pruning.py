@@ -5,7 +5,8 @@ default 1000 counts per weight unit). Under the null model an edge between
 nodes i and j carries a Binomial(E, p) multiplicity with
 p = k_i * k_j / (2 E^2), where k are quantized strengths and E is the total
 multiplicity of the universe. Edges whose observed multiplicity has an upper
-tail probability above the significance level are removed.
+tail probability above the significance level are removed; at level 1 every
+counted edge survives, and no tail is taken.
 
 Intra-layer edges of each layer form their own null universe, as does the
 inter-layer edge set of each unordered layer pair.
@@ -27,6 +28,8 @@ place that float arithmetic costs the exponent and the mean. That allowance
 relies on p <= 1/2, which holds for every edge of a universe: its endpoint
 strengths sum to at most 2E. Integer-scored layers, where ties dominate,
 leave few close calls or none, and a command with none never imports scipy.
+Once counts pass about 1e16, betainc can read NaN near the mean; a close
+call it leaves NaN raises ArithmeticError instead of being dropped.
 """
 
 from __future__ import annotations
@@ -64,8 +67,7 @@ def quantize_weights(
     edges: Mapping[tuple[Hashable, Hashable], float], scale: float = DEFAULT_SCALE
 ) -> dict[tuple[Hashable, Hashable], int]:
     """Integer edge multiplicities round(w * scale); zero-count edges dropped."""
-    if not scale > 0:
-        raise ValueError(f"quantization scale must be positive, got {scale}")
+    check_scale(scale)
     w = np.fromiter(edges.values(), np.float64, len(edges))
     if not np.isfinite(w).all():
         raise ValueError("cannot quantize a non-finite weight")
@@ -121,42 +123,19 @@ def _bound_verdicts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The verdicts the two tail bounds settle (module docstring), and the
     indices of the edges they leave to betainc, whose verdicts read False."""
-    mean = p * total
-    above = np.flatnonzero(counts > mean)
-    if alpha < 0.5:
-        mean *= 1.0 - _ROUNDING
-        undecided = counts > mean
-    else:
-        undecided = np.ones(len(counts), dtype=bool)
-    del mean
-    # E D(c/E || p) = c ln(c / mu) + (E - c) ln((E - c) / (E - mu)) over the
-    # edges above their mean, as near = c log1p((c - mu) / mu) plus
-    # far = (E - c) log1p((c - mu) / (mu - E))
+    # a drop needs alpha < 1/2 and c at most the mean, less the allowance
+    undecided = (counts > p * total * (1.0 - _ROUNDING)) | (alpha >= 0.5)
+    # E D(c/E || p) = c ln(c / mu) + (E - c) ln((E - c) / (E - mu)), over the
+    # edges above their mean; each term is moved by the allowance against the keep
+    above = np.flatnonzero(counts > p * total)
     c = counts[above]
-    mu = p[above]
-    mu *= total
-    gap = c - mu
-    near = gap / mu
-    np.log1p(near, out=near)
-    near *= c
-    mu -= total
-    np.divide(gap, mu, out=gap)
-    del mu
-    np.subtract(total, c, out=c)
-    far = np.zeros_like(gap)
-    # skipped at c = E, where the term is 0; a term rounded to -inf settles nothing
-    with np.errstate(divide="ignore"):
-        np.log1p(gap, out=far, where=c > 0)
-    del gap
-    far *= c
-    del c
-    # each term moved by the allowance against the keep
-    near *= 1.0 - _ROUNDING
-    far *= 1.0 + _ROUNDING
-    near += far
-    del far
-    kept = above[near >= math.log(2.0) - math.log(alpha)]
-    del near
+    mu = p[above] * total
+    near = c * np.log1p((c - mu) / mu) * (1.0 - _ROUNDING)
+    # 0 * log(0) at c = E is 0; a term rounded to -inf elsewhere settles nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = (total - c) * np.log1p((c - mu) / (mu - total)) * (1.0 + _ROUNDING)
+    far[c == total] = 0.0
+    kept = above[near + far >= math.log(2.0) - math.log(alpha)]
     undecided[kept] = False
     verdict = np.zeros(len(counts), dtype=bool)
     verdict[kept] = True
@@ -166,19 +145,26 @@ def _bound_verdicts(
 def _significant(edges: EdgeArrays, alpha: float, scale: float) -> np.ndarray:
     """Mask of the edges of one universe whose p-value is at most ``alpha``."""
     live, counts, total = _quantize(edges.w, scale)
+    # at level 1 every counted edge survives, as no tail is above 1; with no
+    # count, no edge does
+    if alpha == 1.0 or not total:
+        return live
+    k_a, k_b = _endpoint_strengths(edges.a[live], edges.b[live], counts)
+    # rebound, so the int64 counts are freed before the bounds are taken
+    counts = counts.astype(np.float64)
+    total = float(total)
+    p = _null_probability(counts, k_a, k_b, total)
+    del k_a, k_b
+    verdict, close = _bound_verdicts(counts, p, total, alpha)
+    # only close calls reach betainc: a universe without one never imports scipy
+    if len(close):
+        tail = _upper_tail(counts[close], p[close], total)
+        if np.isnan(tail).any():
+            c = counts[close][np.isnan(tail)][0]
+            raise ArithmeticError(f"betainc gave NaN at count {c:.0f}, universe total {total:.0f}")
+        verdict[close] = tail <= alpha
     keep = np.zeros(len(live), dtype=bool)
-    if total:
-        k_a, k_b = _endpoint_strengths(edges.a[live], edges.b[live], counts)
-        # rebound, so the int64 counts are freed before the bounds are taken
-        counts = counts.astype(np.float64)
-        total = float(total)
-        p = _null_probability(counts, k_a, k_b, total)
-        del k_a, k_b
-        verdict, close = _bound_verdicts(counts, p, total, alpha)
-        # only close calls reach betainc: a universe without one never imports scipy
-        if len(close):
-            verdict[close] = _upper_tail(counts[close], p[close], total) <= alpha
-        keep[live] = verdict
+    keep[live] = verdict
     return keep
 
 
@@ -186,6 +172,14 @@ def check_alpha(alpha: float) -> None:
     """Refuse a significance level outside (0, 1]; at 1 every counted edge survives."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"significance level (pruning.alpha) must be in (0, 1], got {alpha}")
+
+
+def check_scale(scale: float) -> None:
+    """Refuse a quantization scale that is not positive and finite."""
+    if not 0.0 < scale < math.inf:
+        raise ValueError(
+            f"quantization scale must be positive and finite (pruning.quantization), got {scale}"
+        )
 
 
 def prune_network(
@@ -200,8 +194,7 @@ def prune_network(
     weights, and the node set is unchanged: nodes isolated by pruning stay.
     """
     check_alpha(alpha)
-    if not scale > 0:
-        raise ValueError(f"quantization scale must be positive, got {scale}")
+    check_scale(scale)
     kept = []
     for edges in (mln.intra, mln.inter):
         # one universe per set of endpoint layers: canonical order always puts

@@ -477,6 +477,13 @@ class TestCliSelect:
         assert [r.index for r in trace.records] == [1, 2, 3]
         assert trace.records[1].breakdown is not None
 
+    def test_infinite_cost_round_trips(self):
+        """A layer of zero availability costs inf, which the trace spells "inf"."""
+        raw = golden_trace(lambda its: its[1].update(cost="inf"))
+        trace = cio.trace_from_dict(raw)
+        assert trace.records[1].breakdown.cost == math.inf
+        assert cio.trace_to_dict(trace, raw["config"]) == raw
+
     def test_select_from_network_artifact_matches_csv_run(
         self, score_csv, tmp_path, capsys
     ):
@@ -920,6 +927,10 @@ class TestCliMalformedArtifacts:
             ("partition", small_partition(lambda raw: raw.update(quality=True)), "quality"),
             ("evaluate", golden_trace(lambda its: its[0].update(modularity=False)), "modularity"),
             ("evaluate", golden_trace(lambda its: its[0].update(nodes=True)), "nodes"),
+            # the writer's one string cost is "inf"
+            ("evaluate", golden_trace(lambda its: its[1].update(cost="abc")), "cost"),
+            ("evaluate", golden_trace(lambda its: its[1].update(cost="1.5")), "cost"),
+            ("evaluate", golden_trace(lambda its: its[1].update(cost="nan")), "cost"),
             ("partition", small_partition(lambda raw: raw["assignment"].append(["b", "A", 0])),
              "assignment"),
         ],

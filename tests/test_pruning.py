@@ -1,6 +1,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -251,6 +252,27 @@ class TestPruneNetwork:
                 prune_network(empty, alpha=alpha)
             assert str(from_config.value) == str(from_filter.value)
 
+    def test_config_filter_and_quantizer_take_one_scale_range(self):
+        """(0, inf): a config, the filter and the quantizer refuse exactly the
+        same quantization scales, with one message naming the config field."""
+        empty = mln_from_edges({})
+        for scale in (1e-300, 1.0, 1e300):
+            assert PruningConfig(quantization=scale).quantization == scale
+            prune_network(empty, scale=scale)
+            assert quantize_weights({}, scale) == {}
+        for scale in (0.0, -1.0, math.inf, math.nan):
+            messages = set()
+            for refuse in (
+                lambda: PruningConfig(quantization=scale),
+                lambda: prune_network(empty, scale=scale),
+                lambda: quantize_weights({("a", "b"): 1.0}, scale),
+            ):
+                with pytest.raises(ValueError) as refused:
+                    refuse()
+                messages.add(str(refused.value))
+            assert len(messages) == 1
+            assert "pruning.quantization" in messages.pop()
+
 
 def coupling_totals(m: int) -> np.ndarray:
     """Universe totals E >= m: every integer up to m + 200, then a log grid
@@ -349,23 +371,28 @@ significance_levels = st.sampled_from(
 ) | st.floats(1e-12, 1.0)
 
 
-def p_value_verdicts(edges: EdgeArrays, alpha: float, scale: float) -> np.ndarray:
-    """``edge_p_value(...) <= alpha`` for each edge of one universe, in order,
-    with scipy's betainc judging every edge; an edge quantized to no count
-    is dropped."""
+def reference_tails(edges: EdgeArrays, scale: float) -> np.ndarray:
+    """``edge_p_value(...)`` of each edge of one universe, in order, with
+    scipy's betainc judging every edge; an edge quantized to no count
+    reads inf."""
     pairs = list(zip(edges.a.tolist(), edges.b.tolist()))
     counts = reference_quantize(dict(zip(pairs, edges.w.tolist())), scale)
-    verdict = np.zeros(len(pairs), dtype=bool)
+    tails = np.full(len(pairs), np.inf)
     if counts:
         total, degrees = null_context(counts)
-        pv = edge_p_value(
+        tails[[pair in counts for pair in pairs]] = edge_p_value(
             np.array(list(counts.values()), dtype=float),
             np.array([degrees[a] for a, _ in counts], dtype=float),
             np.array([degrees[b] for _, b in counts], dtype=float),
             float(total),
         )
-        verdict[[pair in counts for pair in pairs]] = pv <= alpha
-    return verdict
+    return tails
+
+
+def p_value_verdicts(edges: EdgeArrays, alpha: float, scale: float) -> np.ndarray:
+    """``edge_p_value(...) <= alpha`` for each edge of one universe, in order;
+    an edge quantized to no count is dropped."""
+    return reference_tails(edges, scale) <= alpha
 
 
 def near(level: float) -> list[float]:
@@ -441,6 +468,41 @@ class TestBoundVerdicts:
         for alpha in (1e-300, 0.05, 0.49, 0.5, 1.0):
             got = _significant(edges, alpha, 1.0)
             assert got.tolist() == p_value_verdicts(edges, alpha, 1.0).tolist()
+
+
+class TestCountsPastTenToTheSixteen:
+    """The four-cycle 0-1-3-2 with counts (c, 3e16, 3e16, 1e16) at
+    quantization 1e7, for c = 1e16 + d * 1e6 and d in -40..40. Close to the
+    mean, betainc reads NaN for some of these edges."""
+
+    @staticmethod
+    def universes():
+        a, b = np.array([[0, 1], [1, 3], [0, 2], [2, 3]]).T
+        for d in range(-40, 41):
+            yield EdgeArrays(a, b, np.array([1e16 + d * 1e6, 3e16, 3e16, 1e16]) / 1e7)
+
+    def test_alpha_one_keeps_every_edge(self):
+        for edges in self.universes():
+            assert _significant(edges, 1.0, 1e7).all()
+
+    def test_nan_tail_is_refused_not_dropped(self):
+        """At alpha = 0.6 no bound settles an edge this close to its mean, so
+        every edge that betainc leaves NaN is a close call; its tail is about
+        1/2, and the filter refuses to guess the verdict."""
+        for edges in self.universes():
+            tails = reference_tails(edges, 1e7)
+            if not np.isnan(tails).any():
+                assert _significant(edges, 0.6, 1e7).tolist() == (tails <= 0.6).tolist()
+                continue
+            with pytest.raises(ArithmeticError) as refused:
+                _significant(edges, 0.6, 1e7)
+            count, total = re.fullmatch(
+                r"betainc gave NaN at count (\d+), universe total (\d+)", str(refused.value)
+            ).groups()
+            counts = np.rint(edges.w * 1e7)
+            assert float(count) in counts[np.isnan(tails)].tolist()
+            assert int(total) == int(counts.sum())
+
 
 @st.composite
 def score_tables(draw):
