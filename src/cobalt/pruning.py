@@ -26,10 +26,49 @@ settled drop has a tail above 1/2 > alpha. Both rules lean against settling
 by ``_ROUNDING`` (2^-40 relative), which dwarfs the few units in the last
 place that float arithmetic costs the exponent and the mean. That allowance
 relies on p <= 1/2, which holds for every edge of a universe: its endpoint
-strengths sum to at most 2E. Integer-scored layers, where ties dominate,
-leave few close calls or none, and a command with none never imports scipy.
-Once counts pass about 1e16, betainc can read NaN near the mean; a close
-call it leaves NaN raises ArithmeticError instead of being dropped.
+strengths sum to at most 2E.
+
+A third rule settles most of the close calls the bounds leave: the tail
+summed term by term. It takes an edge whose pmf ratio
+r(c) = b(c+1) / b(c) = (E - c) / (c + 1) * p / (1 - p) is below 1, takes
+b(c) from Loader's saddle-point form (``_pmf``), and adds b(c), b(c+1), ...
+in blocks of cumulative products of the ratios. The ratios fall with the
+count, so after the terms up to b(m - 1) the rest of the tail is at most
+b(m) / (1 - r(m - 1)). The edge is
+
+- *dropped* once the partial sum S has S (1 - tol) > alpha;
+- *kept* once (S + b(m) / (1 - r(m - 1))) (1 + tol) <= alpha,
+
+with tol = ``_TOLERANCE`` = 2^-30. The rule cannot change a verdict either,
+because the relative error of S and of the remainder is below 2^-32 (u =
+2^-53 is the unit roundoff):
+
+- b(c): Loader's form is exact up to its series' truncation (below u).
+  Rounding E p and E (1 - p) moves log b(c) by at most 3 u |c - E p|, under
+  2^-35 as |c - E p| < 2^16 is required. bd0's direct form rounds by at
+  most about 4 u max(c, E) where it runs, and b(c) > 2^-960 confines it to
+  c < 2^16 or E < 2^18, so under 2^-33. The rest rounds by far less.
+- The cumulative products: each ratio carries at most 4 u and each product
+  u, so the term reached at the cap of 2^16 terms is off by at most
+  5 * 2^16 u < 2^-34.6; the sum of positive terms adds at most 2^16 u.
+- The remainder: 1 - r(m - 1) is lowered by 2^-50, more than the ratio's
+  rounding, so the remainder is never below its bound; as r(c) < 1 and
+  blocks hold 128 terms, 1 - r(m - 1) stays above 2^-47 before that.
+- Terms below 2^-1022 lose precision only in absolute terms, at most
+  2^-1058 in all, which is below 2^-98 of any b(c) > 2^-960.
+
+So tol leaves betainc itself a relative error of up to 2^-31 before a
+summed verdict could differ from its reading. Every other edge stays open
+for betainc: an edge below its mode (r(c) >= 1, reached only when
+alpha >= 1/2), an edge with c = E, a b(c) of at most 2^-960, an edge with
+|c - E p| >= 2^16, a universe whose total passes 2^53 (where betainc's
+E - c + 1 need not be the binomial's integer), an edge still open after
+2^16 terms, and an edge whose tail is within about tol of alpha.
+
+Below alpha = 1/2, Gaussian and integer-scored tables alike leave few edges
+to betainc or none, and a command with none never imports scipy. Once
+counts pass about 1e16, betainc can read NaN near the mean; a close call it
+leaves NaN raises ArithmeticError instead of being dropped.
 """
 
 from __future__ import annotations
@@ -46,6 +85,23 @@ DEFAULT_SCALE = 1000.0
 
 # relative allowance for rounding, against settling an edge without betainc
 _ROUNDING = 2.0**-40
+# relative allowance against settling a close call by its summed tail, and
+# the limits of that sum: edges per chunk, terms per block, terms per edge,
+# the least b(c) and the largest |c - E p| it starts from (module docstring)
+_TOLERANCE = 2.0**-30
+_CHUNK = 1024
+_BLOCK = 128
+_CAP = 2**16
+_FLOOR = 2.0**-960
+_SPREAD = 2.0**16
+# stirlerr(n) for n = 1..15, good to about 2^-46; index 0 is never read
+_STIRLERR = np.array(
+    [0.0]
+    + [
+        math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi)
+        for n in range(1, 16)
+    ]
+)
 
 
 def _quantize(w: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -100,10 +156,84 @@ def _null_probability(count, k_i, k_j, total):
 def _upper_tail(count, p, total):
     """Pr(Binomial(total, p) >= count), as betainc(count, total - count + 1, p)."""
     # imported here, not at module level: scipy roughly doubles the start-up
-    # of a command, and only edges that the bounds leave open need it
+    # of a command, and only edges that neither the bounds nor the summed
+    # tails settle need it
     from scipy.special import betainc
 
     return betainc(count, total - count + 1.0, p)
+
+
+def _stirlerr(n):
+    """log(n!) - log(sqrt(2 pi n) (n / e)^n) for integer-valued n >= 1: a
+    table up to 15 and the asymptotic series, good to below 2^-53, above."""
+    nn = n * n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+    return np.where(n <= 15, _STIRLERR[np.minimum(n, 15).astype(np.intp)], series)
+
+
+def _bd0(x, m):
+    """Loader's bd0(x, m) = x log(x / m) + m - x: with v = (x - m) / (x + m),
+    the series (x - m) v + 2 x (v^3 / 3 + v^5 / 5 + ...) while |v| < 0.1,
+    truncated below 2^-53 of its sum, and the direct form beyond."""
+    d = x - m
+    v = d / (x + m)
+    w = v * v
+    odd = 1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (1 / 13 + w / 15)))))
+    return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * w * odd, x * np.log(x / m) - d)
+
+
+def _pmf(c, mean, total):
+    """Pr(Binomial(total, p) = c) for 1 <= c < total, given the mean
+    total p, in Loader's saddle-point form (Loader 2000, "Fast and accurate
+    computation of binomial probabilities")."""
+    rest = total - c
+    exponent = (
+        _stirlerr(total) - _stirlerr(c) - _stirlerr(rest)
+        - _bd0(c, mean) - _bd0(rest, total - mean)
+    )
+    # log(2 pi c (E - c) / E)
+    spread = math.log(2 * math.pi) + np.log(c) + np.log1p(-c / total)
+    return np.exp(exponent - 0.5 * spread)
+
+
+def _summed_verdicts(
+    counts: np.ndarray, p: np.ndarray, total: float, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The verdicts of the close calls ``counts`` that their summed tails
+    settle (module docstring), and a mask of those settled; an edge left
+    open reads False."""
+    keep = np.zeros(len(counts), dtype=bool)
+    settled = np.zeros(len(counts), dtype=bool)
+    if total > 2.0**53:
+        return keep, settled
+    mean = total * p
+    ratio = (total - counts) * p / ((counts + 1.0) * (1.0 - p))
+    live = np.flatnonzero((ratio < 1.0) & (np.abs(counts - mean) < _SPREAD) & (counts < total))
+    first = _pmf(counts[live], mean[live], total)
+    live, first = live[first > _FLOOR], first[first > _FLOOR]
+    step = np.arange(_BLOCK, dtype=np.float64)
+    # a chunk of edges at a time, so that one block's terms take at most 1 MB
+    for start in range(0, len(live), _CHUNK):
+        edges, term = live[start : start + _CHUNK], first[start : start + _CHUNK]
+        m, tail = counts[edges], np.zeros(len(edges))
+        for _ in range(_CAP // _BLOCK):
+            # r(m), ..., r(m + B - 1), and b(m + 1), ..., b(m + B); r(E) = 0
+            # ends the terms at the total
+            block = m[:, None] + step
+            r = (total - block) * p[edges, None] / ((block + 1.0) * (1.0 - p[edges, None]))
+            run = term[:, None] * np.cumprod(r, axis=1)
+            tail += term + run[:, :-1].sum(axis=1)
+            term = run[:, -1]
+            rest = term / ((1.0 - r[:, -1]) - 2.0**-50)
+            dropped = tail * (1.0 - _TOLERANCE) > alpha
+            kept = (tail + rest) * (1.0 + _TOLERANCE) <= alpha
+            keep[edges[kept]] = True
+            done = dropped | kept
+            settled[edges[done]] = True
+            edges, m, tail, term = (x[~done] for x in (edges, m + _BLOCK, tail, term))
+            if not len(edges):
+                break
+    return keep, settled
 
 
 def _endpoint_strengths(
@@ -156,7 +286,9 @@ def _significant(edges: EdgeArrays, alpha: float, scale: float) -> np.ndarray:
     p = _null_probability(counts, k_a, k_b, total)
     del k_a, k_b
     verdict, close = _bound_verdicts(counts, p, total, alpha)
-    # only close calls reach betainc: a universe without one never imports scipy
+    verdict[close], settled = _summed_verdicts(counts[close], p[close], total, alpha)
+    close = close[~settled]
+    # only the calls left open reach betainc: with none, scipy is never imported
     if len(close):
         tail = _upper_tail(counts[close], p[close], total)
         if np.isnan(tail).any():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import betainc
 
 from cobalt import cli
 from cobalt.build import build_network
@@ -17,6 +18,7 @@ from cobalt.pipeline import build_pruned_network
 from cobalt.pruning import (
     _bound_verdicts,
     _significant,
+    _summed_verdicts,
     edge_p_value,
     prune_network,
     quantize_weights,
@@ -401,14 +403,17 @@ def near(level: float) -> list[float]:
     return [float(x) for x in levels if 0.0 < x <= 1.0]
 
 
-def bounds_of(edges: EdgeArrays, alpha: float):
-    """Counts, null probabilities and total of a universe of integer weights
-    at scale 1, with the verdicts and open edges of ``_bound_verdicts``."""
-    counts = edges.w
-    size = max(edges.a.max(), edges.b.max()) + 1
-    strengths = np.bincount(edges.a, counts, size) + np.bincount(edges.b, counts, size)
-    total = float(counts.sum())
-    p = strengths[edges.a] * strengths[edges.b] / (2.0 * total * total)
+def bounds_of(edges: EdgeArrays, alpha: float, scale: float = 1.0):
+    """Counts, null probabilities and total of a universe quantized at
+    ``scale``, with the verdicts and open edges of ``_bound_verdicts``; edges
+    quantized to no count are left out."""
+    counts = np.rint(edges.w * scale)
+    live = counts > 0
+    a, b, counts = edges.a[live], edges.b[live], counts[live]
+    size = max(a.max(), b.max()) + 1
+    strengths = np.bincount(a, counts, size) + np.bincount(b, counts, size)
+    total = math.fsum(counts)
+    p = strengths[a] * strengths[b] / (2.0 * total * total)
     return (counts, p, total, *_bound_verdicts(counts, p, total, alpha))
 
 
@@ -468,6 +473,110 @@ class TestBoundVerdicts:
         for alpha in (1e-300, 0.05, 0.49, 0.5, 1.0):
             got = _significant(edges, alpha, 1.0)
             assert got.tolist() == p_value_verdicts(edges, alpha, 1.0).tolist()
+
+
+def summed(counts, p, total: float, alpha: float):
+    """``_summed_verdicts`` of edges given as lists or scalars."""
+    return _summed_verdicts(
+        np.atleast_1d(np.asarray(counts, dtype=float)), np.atleast_1d(p), total, alpha
+    )
+
+
+class TestSummedVerdicts:
+    """The summed tail settles the close calls that the bounds leave open;
+    every verdict it settles must be betainc's and the exact tail's."""
+
+    def test_edge_far_below_its_mean_is_dropped(self):
+        """At alpha = 1/2 no bound settles the count-1000 edge, whose null
+        mean is about 2,712. Its pmf underflows to 0 there, and a sum of
+        zero terms would keep it; its tail is close to 1."""
+        edges = EdgeArrays(
+            np.array([0, 0, 0, 0, 0, 0, 1]),
+            np.array([1, 2, 3, 4, 5, 6, 2]),
+            np.array([0.0, 1.0, 0.0, 0.0, 0.0, 5.0, 46.0]),
+        )
+        got = _significant(edges, 0.5, 1000.0)
+        assert not got[1]
+        assert got.tolist() == p_value_verdicts(edges, 0.5, 1000.0).tolist()
+
+    def test_edges_below_their_mode_stay_open(self):
+        """At alpha >= 1/2 the median drop is off, so an edge below its mean
+        can reach the sum. Below its mode its pmf ratios rise, no geometric
+        remainder bounds its tail, and betainc must judge it."""
+        total = 10.0**6
+        p = 1000.0 / total
+        for c in (500.0, 600.0, 800.0, 900.0, 990.0):
+            for alpha in (0.5, 0.6, 0.9, 0.99):
+                keep, settled = summed(c, p, total, alpha)
+                assert not settled.any() and not keep.any(), (c, alpha)
+
+    @given(universes(universe_weights), significance_levels, st.sampled_from([1.0, 1000.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_settled_verdicts_equal_betainc(self, edges, alpha, scale):
+        assume(np.rint(edges.w * scale).any())
+        counts, p, total, _, close = bounds_of(edges, alpha, scale)
+        keep, settled = _summed_verdicts(counts[close], p[close], total, alpha)
+        tails = betainc(counts[close], total - counts[close] + 1.0, p[close])
+        assert keep[settled].tolist() == (tails[settled] <= alpha).tolist()
+        assert not keep[~settled].any()
+
+    @given(universes(st.integers(1, 30), max_vertices=8, max_edges=12), significance_levels)
+    @settings(max_examples=200, deadline=None)
+    def test_settled_verdicts_hold_exactly(self, edges, alpha):
+        counts, p, total, _, close = bounds_of(edges, alpha)
+        keep, settled = _summed_verdicts(counts[close], p[close], total, alpha)
+        for c, q, kept in zip(counts[close][settled], p[close][settled], keep[settled]):
+            tail = exact_tail_oracle(int(c), int(total), float(q))
+            assert (tail <= Fraction(alpha)) == kept, (c, q, total, alpha)
+
+    def test_alpha_within_the_tolerance_stays_open(self):
+        """alpha within 2^-31 of the exact tail, on either side: the summed
+        tail cannot tell the verdict from rounding, so betainc judges it."""
+        rng = np.random.default_rng(11)
+        opened = 0
+        for _ in range(300):
+            total = int(rng.integers(10, 300))
+            p = float(rng.uniform(1e-3, 0.5))
+            c = int(rng.integers(math.ceil(total * p), total))
+            tail = exact_tail_oracle(c, total, p)
+            for side in (1, -1):
+                alpha = float(tail * (1 + Fraction(side, 2**31)))
+                if not 0.0 < alpha < 1.0:
+                    continue
+                keep, settled = summed(c, p, float(total), alpha)
+                assert not settled.any(), (c, p, total, side)
+                opened += 1
+        assert opened > 300
+
+    def test_edges_near_the_cap(self):
+        """A null standard deviation of 2^15 counts, alpha 1% below the tail:
+        from one deviation above the mean the drop takes about 57,000 terms,
+        under the cap of 2^16; from half a deviation about 69,000, over it.
+        At 2^13 and 2^14 every such edge settles, as betainc reads it."""
+        total = 2.0**50
+        for scale in (13, 14, 15):
+            p = 4.0**scale / total
+            for z in (0.5, 1.0, 1.9):
+                c = math.floor(total * p + z * 2.0**scale)
+                tail = betainc(c, total - c + 1.0, p)
+                for factor in (0.99, 0.999, 1.001, 1.01):
+                    keep, settled = summed(c, p, total, tail * factor)
+                    assert keep.tolist() == [settled[0] and factor > 1]
+                    if scale < 15:
+                        assert settled.all(), (scale, z, factor)
+        p = 4.0**15 / total
+        for z, settles in ((1.0, True), (0.5, False)):
+            c = math.floor(total * p + z * 2.0**15)
+            tail = betainc(c, total - c + 1.0, p)
+            assert summed(c, p, total, 0.99 * tail)[1].tolist() == [settles]
+
+    def test_total_past_two_to_the_53_stays_open(self):
+        """Past 2^53 betainc's E - c + 1 need not be an integer."""
+        for total, settles in ((2.0**53, True), (2.0**53 + 2.0, False)):
+            p = 1000.0 / total
+            keep, settled = summed([1050.0, 1100.0, 1200.0], np.full(3, p), total, 0.05)
+            assert settled.tolist() == [settles] * 3
+            assert keep.tolist() == [False, settles, settles]
 
 
 class TestCountsPastTenToTheSixteen:

@@ -1,11 +1,13 @@
 """The start-up path: ``import cobalt.cli`` loads numpy but not scipy.
 
 Only the commands that filter edges can import scipy, and only at the first
-edge whose verdict the tail bounds leave open. Each check runs in a fresh
-interpreter, because the test process has imported scipy already.
+edge whose verdict neither the tail bounds nor the summed tail settle. Each
+check runs in a fresh interpreter, because the test process has imported
+scipy already.
 """
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -53,6 +55,7 @@ runs = {
     "evaluate": ["evaluate", *tables, "--trace", f"{selected}/trace.json"],
     "export": ["export", network, "--partition", f"{selected}/partition_iter03.json"],
     "build": ["build", tables[0]],
+    "sweep": ["sweep", tables[0], "--config", f"{case}/config.json"],
 }
 for name, argv in runs.items():
     code = cli.main([*argv, "--out-dir", f"{out}/{name}"])
@@ -60,15 +63,45 @@ for name, argv in runs.items():
 """
 
 
-def test_only_filtering_commands_import_scipy(tmp_path):
+def test_no_command_on_the_golden_planted_inputs_imports_scipy(tmp_path):
+    """The golden planted build and sweep filter edges, and the summed tail
+    settles every close call the bounds leave there, so none needs betainc."""
     lines = run_fresh(COMMANDS, str(PLANTED), str(tmp_path))
     results = [line for line in lines if not line.startswith("wrote ")]
     assert results == [
         "select 0 False",
         "evaluate 0 False",
         "export 0 False",
-        "build 0 True",
+        "build 0 False",
+        "sweep 0 False",
     ]
+
+
+BETAINC_ALONE = """
+import sys
+import numpy as np
+from cobalt import cli, pruning
+
+scores, config, out = sys.argv[1:]
+print(cli.main(["build", scores, "--config", config, "--out-dir", f"{out}/filtered"]),
+      "scipy" in sys.modules)
+# leave every edge open, so that betainc judges them all
+pruning._bound_verdicts = lambda c, p, total, alpha: (np.zeros(len(c), bool), np.arange(len(c)))
+pruning._summed_verdicts = lambda c, p, total, alpha: (np.zeros(len(c), bool),) * 2
+print(cli.main(["build", scores, "--config", config, "--out-dir", f"{out}/betainc"]))
+"""
+
+
+def test_alpha_above_one_half_loads_scipy_and_writes_betaincs_network(tmp_path):
+    """At alpha >= 1/2 the median drop is off, and edges below their mode,
+    which the sum leaves open, reach betainc: scipy loads, and the network
+    is byte for byte the one betainc writes when it judges every edge."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pruning": {"alpha": 0.6}}))
+    lines = run_fresh(BETAINC_ALONE, str(PLANTED / "scores.csv"), str(config), str(tmp_path))
+    assert [line for line in lines if not line.startswith("wrote ")] == ["0 True", "0"]
+    filtered = (tmp_path / "filtered" / "network.json").read_bytes()
+    assert filtered == (tmp_path / "betainc" / "network.json").read_bytes()
 
 
 SELECT = """
