@@ -53,22 +53,13 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _pruning_meta(config: PipelineConfig) -> dict:
-    return {
-        "alpha": config.pruning.alpha,
-        "quantization": config.pruning.quantization,
-        "degree_definition": "quantized_strength",
-    }
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     config = _load_config(args.config)
     table = _load_table(args.scores)
     network = build_pruned_network(table, config)
-    cio.dump_json(
-        cio.network_to_dict(network, _pruning_meta(config)), out / "network.json"
-    )
+    pruning = cio.pruning_block(config.pruning)
+    cio.dump_json(cio.network_to_dict(network, pruning), out / "network.json")
     print(f"wrote {out / 'network.json'}")
     return EXIT_OK
 
@@ -82,7 +73,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         pruned, pruning = _read_artifact(args.scores, cio.network_and_pruning)
     else:
         pruned = build_pruned_network(_load_table(args.scores), config)
-        pruning = _pruning_meta(config)
+        pruning = cio.pruning_block(config.pruning)
     init = initialize(pruned, config)
     trace = cobalt_select(pruned, init, config.leiden, stopping=config.selector.stopping)
 

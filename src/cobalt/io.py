@@ -24,6 +24,7 @@ from typing import Any, TextIO
 
 import numpy as np
 
+from .config import PipelineConfig, PruningConfig
 from .evaluation import MissingnessSweepReport, RegressionReport
 from .model import (
     CovariateTable,
@@ -277,11 +278,26 @@ def network_from_dict(raw: Any) -> MultiLayerNetwork:
         raise InputFormatError(f"artifact field {field!r}: {exc}") from exc
 
 
+def pruning_block(pruning: PruningConfig) -> dict:
+    """The ``pruning`` block of a network that the filter ``pruning`` made."""
+    return dict(asdict(pruning), degree_definition="quantized_strength")
+
+
 def network_and_pruning(raw: Any) -> tuple[MultiLayerNetwork, dict | None]:
     """The network of a network artifact, and its ``pruning`` block: the
-    settings of the filter that made it, or ``None`` where they are unknown."""
+    settings of the filter that made it, or ``None`` where they are unknown.
+    The block's settings obey the config file's rules."""
     network = network_from_dict(raw)
-    return network, _field(raw, "pruning", dict, type(None))
+    pruning = _field(raw, "pruning", dict, type(None))
+    if pruning is not None:
+        settings = {k: v for k, v in pruning.items() if k != "degree_definition"}
+        try:
+            block = pruning_block(PipelineConfig.from_dict({"pruning": settings}).pruning)
+            if pruning != block:
+                raise ValueError(f"reads {pruning}, not {block}")
+        except ValueError as exc:
+            raise InputFormatError(f"artifact field 'pruning': {exc}") from None
+    return network, pruning
 
 
 def _assignment_rows(partition: Partition) -> list[list]:
@@ -440,6 +456,8 @@ def regression_report_to_csv(report: RegressionReport, target: str | Path | Text
 # GraphML
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+# the characters GraphML text and attribute values must not hold raw
+_XML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 _KEYS = (
     ("d_entity", "node", "entity", "string"),
@@ -482,15 +500,15 @@ def export_graphml(
         )
     lines.append('  <graph id="G" edgedefault="undirected">')
     lines.append(
-        f'    <data key="d_layers">{_xml_escape(json.dumps(list(network.layers)))}</data>'
+        f'    <data key="d_layers">{json.dumps(list(network.layers)).translate(_XML)}</data>'
     )
 
     ordered = sorted(network.nodes)
     ids = {node: f"n{i}" for i, node in enumerate(ordered)}
     for node in ordered:
         lines.append(f'    <node id="{ids[node]}">')
-        lines.append(f'      <data key="d_entity">{_xml_escape(node.entity)}</data>')
-        lines.append(f'      <data key="d_layer">{_xml_escape(node.layer)}</data>')
+        lines.append(f'      <data key="d_entity">{node.entity.translate(_XML)}</data>')
+        lines.append(f'      <data key="d_layer">{node.layer.translate(_XML)}</data>')
         if partition is not None:
             lines.append(
                 f'      <data key="d_community">{partition.assignment[node]}</data>'
@@ -508,12 +526,3 @@ def export_graphml(
     lines.append("</graphml>")
     with _open_write(target) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _xml_escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )

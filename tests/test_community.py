@@ -528,10 +528,15 @@ class TestPhasesMatchReference:
     decision: results equal the phases that score every candidate."""
 
     @settings(deadline=None)
-    @given(multilayer_networks(), st.sampled_from([0.5, 1.0, 1.7]), st.integers(0, 9))
-    def test_leiden_equals_leiden_with_reference_phases(self, net, gamma, seed):
+    @given(
+        multilayer_networks(),
+        st.sampled_from([0.5, 1.0, 1.7]),
+        st.integers(0, 9),
+        st.sampled_from([0.01, 0.0]),  # the default and greedy refinement
+    )
+    def test_leiden_equals_leiden_with_reference_phases(self, net, gamma, seed, theta):
         assume(net.nodes)
-        supra, cfg = SupraGraph(net), LeidenConfig(gamma=gamma, seed=seed)
+        supra, cfg = SupraGraph(net), LeidenConfig(gamma=gamma, theta=theta, seed=seed)
         ours = leiden(supra, cfg)
         with mock.patch.object(community, "_local_move", reference_local_move), mock.patch.object(
             community, "_refine", reference_refine
@@ -542,10 +547,15 @@ class TestPhasesMatchReference:
         assert [q.hex() for q in ours.history] == [q.hex() for q in ref.history]
 
     @settings(deadline=None)
-    @given(multilayer_networks(), st.sampled_from([0.5, 1.0, 1.7]), st.integers(0, 9))
-    def test_each_phase_call_equals_reference(self, net, gamma, seed):
+    @given(
+        multilayer_networks(),
+        st.sampled_from([0.5, 1.0, 1.7]),
+        st.integers(0, 9),
+        st.sampled_from([0.01, 0.0]),  # the default and greedy refinement
+    )
+    def test_each_phase_call_equals_reference(self, net, gamma, seed, theta):
         assume(net.nodes)
-        cfg = LeidenConfig(gamma=gamma, seed=seed)
+        cfg = LeidenConfig(gamma=gamma, theta=theta, seed=seed)
         for reference, level, comm, *args in phase_calls(SupraGraph(net), cfg):
             if reference is reference_local_move:
                 assert_move_matches_reference(level, comm, *args)

@@ -21,18 +21,22 @@ the whitespace changed.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cobalt
 from cobalt import cli
 from cobalt.build import normalize_layer
 from cobalt.io import read_score_table
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(cobalt.__file__).resolve().parent.parent
 
 N = 36
 LAYERS = ("A", "B", "C")
@@ -169,6 +173,36 @@ def test_cli_artifacts_match_golden(case, tmp_path, capsys):
     assert sorted(actual) == sorted(expected)
     changed = [name for name in expected if actual[name] != expected[name]]
     assert not changed, f"artifacts differ from tests/golden/{case}/expected: {changed}"
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """select network.json and evaluate --trace on the golden planted case,
+    each in a fresh interpreter whose OpenBLAS is told its thread count
+    before numpy loads. evaluate's bytes depend on the BLAS kernel, so its
+    two runs are compared with each other, not with its golden."""
+    case_dir = GOLDEN / "planted"
+    tables = [str(case_dir / name) for name in ("scores.csv", "covariates.csv", "targets.csv")]
+    network = str(case_dir / "expected" / "build" / "network.json")
+    trace = str(case_dir / "expected" / "select" / "trace.json")
+    common = ["--config", str(case_dir / "config.json")]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    evaluated = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for argv in (
+            ["select", network, *common, "--out-dir", str(out / "select")],
+            ["evaluate", *tables, "--trace", trace, *common, "--out-dir", str(out / "evaluate")],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "cobalt.cli", *argv],
+                check=True,
+                capture_output=True,
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            )
+        assert _files(out / "select") == _files(case_dir / "expected" / "select_network")
+        evaluated.append(_files(out / "evaluate"))
+    assert sorted(evaluated[0]) == ["regression.csv", "regression.json"]
+    assert evaluated[0] == evaluated[1]
 
 
 def test_near_tie_case_has_one_near_tie_pair():

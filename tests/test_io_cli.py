@@ -539,6 +539,30 @@ class TestCliSelect:
         assert capsys.readouterr().err == f"error: artifact field 'pruning' has type {kind}\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda _: {"alpha": "abc", "quantization": -5, "extra": [1, 2]}, "alpha"),
+            (lambda p: dict(p, degree_definition="strength"), "'quantized_strength'}"),
+            (lambda p: dict(p, alpha=1.5), "pruning.alpha"),
+            (lambda p: dict(p, alpha=True), "pruning.alpha"),
+            (lambda p: dict(p, quantization=-5), "pruning.quantization"),
+            (lambda p: dict(p, extra=[1, 2]), "pruning.extra"),
+            (lambda p: {k: v for k, v in p.items() if k != "quantization"}, "'quantization'"),
+        ],
+        ids=["unchecked", "degree", "alpha", "bool", "quantization", "extra", "missing"],
+    )
+    def test_invalid_pruning_settings_exit_two(self, edit, reason, tmp_path, capsys):
+        """The block that select copies into trace.json obeys the config file's rules."""
+        raw = json.loads((PLANTED / "expected" / "build" / "network.json").read_text())
+        raw["pruning"] = edit(raw["pruning"])
+        artifact, out = tmp_path / "network.json", tmp_path / "sel"
+        artifact.write_text(json.dumps(raw))
+        assert cli.main(["select", str(artifact), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: artifact field 'pruning': ") and reason in err
+        assert list(out.iterdir()) == []
+
 
 class TestCliSweep:
     def test_small_grid(self, tmp_path, capsys):
