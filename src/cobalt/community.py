@@ -225,7 +225,11 @@ def multislice_modularity(
         comm = np.array([assignment[v] for v in supra.vertices], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"partition does not cover vertex {exc.args[0]}") from exc
+    return _quality(supra, comm, gamma)
 
+
+def _quality(supra: SupraGraph, comm: np.ndarray, gamma: float) -> float:
+    """Multislice modularity of the community labels ``comm``, one per vertex."""
     rows, cols = supra.rows, supra.indices
     link = _running_total(supra.weights[(rows < cols) & (comm[rows] == comm[cols])])
 
@@ -561,10 +565,6 @@ def _split_disconnected(supra: SupraGraph, labels: np.ndarray) -> np.ndarray:
     return _first_seen(labels * supra.vertex_count + root)
 
 
-def _assignment(supra: SupraGraph, labels: np.ndarray) -> dict[NodeRef, int]:
-    return dict(zip(supra.vertices, labels.tolist()))
-
-
 def _finite(quality: float, gamma: float) -> float:
     """``quality``, refused when a huge gamma has made it inf or NaN."""
     if not math.isfinite(quality):
@@ -602,8 +602,7 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
     top = np.arange(level.n)  # level vertex holding each supra-graph vertex
     # a move changes Q by its gain / mu; refinement and aggregation keep the
     # partition, so each pass's quality follows from the singletons' quality
-    q = multislice_modularity(supra, _assignment(supra, comm), cfg.gamma)
-    q = _finite(q, cfg.gamma)
+    q = _finite(_quality(supra, comm, cfg.gamma), cfg.gamma)
     history: list[float] = []
 
     for _ in range(cfg.max_passes):
@@ -613,12 +612,13 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
         history.append(q)
 
         refined = _refine(level, comm, cfg.gamma, cfg.theta, mu, inv, rng)
-        if moves == 0 and len(np.unique(refined)) == level.n:
+        # refinement merges only onto vertices that stay, so none merged iff no id moved
+        if moves == 0 and (refined == np.arange(level.n)).all():
             break
         level, comm, sv = _aggregate(level, refined, comm)
         top = sv[top]
 
-    assignment = _assignment(supra, _split_disconnected(supra, comm[top]))
-    quality = multislice_modularity(supra, assignment, cfg.gamma)
-    history.append(quality)
-    return LeidenResult(Partition(assignment, quality), quality, tuple(history))
+    labels = _split_disconnected(supra, comm[top])
+    quality = _quality(supra, labels, cfg.gamma)
+    assignment = dict(zip(supra.vertices, labels.tolist()))
+    return LeidenResult(Partition(assignment, quality), quality, (*history, quality))

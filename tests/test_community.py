@@ -566,6 +566,27 @@ class TestPhasesMatchReference:
             assert ours.tolist() == ref.tolist()
             assert ours_rng.random() == ref_rng.random()
 
+    @settings(deadline=None)
+    @given(
+        multilayer_networks(),
+        st.sampled_from([0.5, 1.0, 1.7]),
+        st.integers(0, 9),
+        st.sampled_from([0.01, 0.0]),
+    )
+    def test_refined_labels_are_vertices_that_stayed(self, net, gamma, seed, theta):
+        """leiden ends its passes when refinement merged nothing, read as
+        ``refined == arange(n)``: refinement moves a vertex only onto one
+        that has not moved, so every label in use is a fixed point."""
+        assume(net.nodes)
+        cfg = LeidenConfig(gamma=gamma, theta=theta, seed=seed)
+        for reference, level, comm, *args in phase_calls(SupraGraph(net), cfg):
+            if reference is reference_local_move:
+                continue
+            refined = community._refine(level, comm, *args)
+            assert refined[refined].tolist() == refined.tolist()
+            unmerged = bool((refined == np.arange(level.n)).all())
+            assert unmerged == (len(np.unique(refined)) == level.n)
+
     def test_reference_adds_layer_terms_without_the_builtin_sum(self, monkeypatch):
         # as for the kernel: on Python 3.12 and later the builtin sum would
         # give the reference other bits wherever a super-vertex has three or

@@ -1,9 +1,10 @@
 """The start-up path: ``import cobalt.cli`` loads numpy but not scipy.
 
 Only the commands that filter edges can import scipy, and only at the first
-edge whose verdict neither the tail bounds nor the summed tail settle. Each
-check runs in a fresh interpreter, because the test process has imported
-scipy already.
+edge whose verdict neither the tail bounds nor the summed tail settle. The
+commands that run Leiden load no ``numpy.ma`` either, which numpy's
+``np.unique`` imports when it returns no indices. Each check runs in a
+fresh interpreter, because the test process has imported both already.
 """
 
 import csv
@@ -56,24 +57,29 @@ runs = {
     "export": ["export", network, "--partition", f"{selected}/partition_iter03.json"],
     "build": ["build", tables[0]],
     "sweep": ["sweep", tables[0], "--config", f"{case}/config.json"],
+    "evaluate-untraced": ["evaluate", *tables],
 }
 for name, argv in runs.items():
     code = cli.main([*argv, "--out-dir", f"{out}/{name}"])
-    print(name, code, "scipy" in sys.modules)
+    print(name, code, "scipy" in sys.modules, "numpy.ma" in sys.modules)
 """
 
 
 def test_no_command_on_the_golden_planted_inputs_imports_scipy(tmp_path):
     """The golden planted build and sweep filter edges, and the summed tail
-    settles every close call the bounds leave there, so none needs betainc."""
+    settles every close call the bounds leave there, so none needs betainc.
+    select, sweep and evaluate without ``--trace`` run Leiden, which loads no
+    ``numpy.ma``; both flags only accumulate, so each line covers the runs
+    before it."""
     lines = run_fresh(COMMANDS, str(PLANTED), str(tmp_path))
     results = [line for line in lines if not line.startswith("wrote ")]
     assert results == [
-        "select 0 False",
-        "evaluate 0 False",
-        "export 0 False",
-        "build 0 False",
-        "sweep 0 False",
+        "select 0 False False",
+        "evaluate 0 False False",
+        "export 0 False False",
+        "build 0 False False",
+        "sweep 0 False False",
+        "evaluate-untraced 0 False False",
     ]
 
 
