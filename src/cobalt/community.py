@@ -257,32 +257,40 @@ class LeidenResult:
 class _Level(NamedTuple):
     """One aggregation level: super-vertices with merged CSR adjacency.
 
-    ``strengths[layer, v]`` is super-vertex v's strength in each layer.
-    ``terms[v]`` lists v's (layer, strength) pairs in order of first
-    appearance among its members; null scores add them in that order.
+    The term table is a second CSR: row v of ``t_ptr``, ``t_layers``, ``t_k``
+    lists super-vertex v's (layer, strength) terms in order of first
+    appearance among its members, over ``n_layers`` layers. Every per-layer
+    strength sum is one ``np.bincount`` over its entries, which run in
+    vertex order. ``terms[v]`` holds row v as a list of pairs for the
+    per-vertex loops; null scores add them in that order.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    strengths: np.ndarray
+    t_ptr: np.ndarray
+    t_layers: np.ndarray
+    t_k: np.ndarray
+    n_layers: int
     terms: list[list[tuple[int, float]]]
 
     @property
     def n(self) -> int:
         return len(self.terms)
 
+    @property
+    def owner(self) -> np.ndarray:
+        """The vertex of every term-table entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.t_ptr))
+
 
 def _level(
     adjacency: tuple, t_ptr: np.ndarray, t_layers: np.ndarray, t_k: np.ndarray, n_layers: int
 ) -> _Level:
-    """Level over CSR ``adjacency`` (indptr, indices, weights); row v of the
-    CSR ``t_ptr``, ``t_layers``, ``t_k`` holds vertex v's (layer, strength) terms."""
-    n = len(t_ptr) - 1
-    strengths = np.zeros((n_layers, n))
-    strengths[t_layers, np.repeat(np.arange(n), np.diff(t_ptr))] = t_k
+    """Level over CSR ``adjacency`` (indptr, indices, weights) and the term table."""
     pairs, bounds = list(zip(t_layers.tolist(), t_k.tolist())), t_ptr.tolist()
-    return _Level(*adjacency, strengths, [pairs[a:b] for a, b in zip(bounds, bounds[1:])])
+    terms = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return _Level(*adjacency, t_ptr, t_layers, t_k, n_layers, terms)
 
 
 def _null_scores(
@@ -325,14 +333,10 @@ def _local_move(
     indices, weights = level.indices, level.weights
     queue = deque(rng.permutation(level.n).tolist())
     queued = np.ones(level.n, dtype=bool)
-    # terms added left to right, as stay_null is below: the builtin sum of
-    # Python 3.12 and later compensates, and would give other bits
-    self_null = []
-    for terms in level.terms:
-        null = 0.0
-        for layer, k in terms:
-            null = null + k * k * inv_layer_weight[layer]
-        self_null.append(null)
+    # each vertex's terms added left to right, as stay_null is below: the
+    # builtin sum of Python 3.12 and later compensates, and would give other bits
+    null = level.t_k * level.t_k * np.asarray(inv_layer_weight)[level.t_layers]
+    self_null = np.bincount(level.owner, weights=null, minlength=level.n).tolist()
     next_id = comm_strengths.shape[1]
     size = np.bincount(comm, minlength=next_id)
     below_zero = (comm_strengths < 0.0).any(axis=0)
@@ -435,7 +439,7 @@ def _refine(
     ptr = np.concatenate(([0], np.cumsum(inside)))[level.indptr].tolist()
     indices, weights = level.indices[inside], level.weights[inside]
     refined = np.arange(level.n)
-    ref_strengths = level.strengths.copy()
+    ref_strengths = _community_strengths(level, refined, level.n)
     ref_size = [1] * level.n
 
     for v in rng.permutation(level.n).tolist():
@@ -524,23 +528,17 @@ def _aggregate(
     between = keys // n_new != keys % n_new
     adjacency = _merge_rows(keys[between], level.weights[between], n_new, n_new)
 
-    n_layers = level.strengths.shape[0]
-    pairs = [pair for terms in level.terms for pair in terms]
-    t_ptr, t_layers, t_k = _merge_rows(
-        np.repeat(sv * n_layers, [len(terms) for terms in level.terms])
-        + np.array([layer for layer, _ in pairs], dtype=np.int64),
-        np.array([k for _, k in pairs], dtype=np.float64),
-        n_new,
-        n_layers,
-    )
-    return _level(adjacency, t_ptr, t_layers, t_k, n_layers), new_comm, sv
+    n_layers = level.n_layers
+    keys = sv[level.owner] * n_layers + level.t_layers
+    terms = _merge_rows(keys, level.t_k, n_new, n_layers)
+    return _level(adjacency, *terms, n_layers), new_comm, sv
 
 
 def _community_strengths(level: _Level, comm: np.ndarray, size: int) -> np.ndarray:
     """Strength of every community in every layer, summed over vertices in order."""
-    return np.stack(
-        [np.bincount(comm, weights=row, minlength=size) for row in level.strengths]
-    )
+    key = level.t_layers * size + comm[level.owner]
+    strengths = np.bincount(key, weights=level.t_k, minlength=level.n_layers * size)
+    return strengths.reshape(level.n_layers, size)
 
 
 def _split_disconnected(supra: SupraGraph, labels: np.ndarray) -> np.ndarray:

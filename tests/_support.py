@@ -515,7 +515,9 @@ def reference_refine(
     ptr = level.indptr.tolist()
     indices, weights = level.indices, level.weights
     refined = np.arange(level.n)
-    ref_strengths = level.strengths.copy()
+    # the term table's rows laid out as a dense layers x vertices matrix
+    ref_strengths = np.zeros((level.n_layers, level.n))
+    ref_strengths[level.t_layers, np.repeat(np.arange(level.n), np.diff(level.t_ptr))] = level.t_k
     ref_size = [1] * level.n
 
     for v in rng.permutation(level.n).tolist():

@@ -623,7 +623,10 @@ class TestPhasesMatchReference:
             indptr,
             np.array([b for b, _ in entries], dtype=np.int64),
             np.array([w for _, w in entries], dtype=float),
-            np.array([strengths], dtype=float),
+            np.arange(len(strengths) + 1),
+            np.zeros(len(strengths), dtype=np.int64),
+            np.array(strengths, dtype=float),
+            1,
             [[(0, k)] for k in strengths],
         )
 
