@@ -187,36 +187,12 @@ def _one_hot(labels: Sequence, levels: Sequence) -> np.ndarray:
     return block
 
 
-def _solve_ridge(gram: np.ndarray, moment: np.ndarray, lam: float) -> np.ndarray:
-    """Coefficients from the normal system ``(gram + penalty) beta = moment``."""
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-    penalty = np.eye(len(gram)) * lam
-    penalty[0, 0] = 0.0
-    system = gram + penalty
-    if lam == 0.0:
-        sv = np.linalg.svd(system, compute_uv=False)
-        if sv[-1] <= sv[0] * 1e-12:
-            raise np.linalg.LinAlgError(
-                "normal system is singular at lambda = 0; drop columns or penalize"
-            )
-    return np.linalg.solve(system, moment)
-
-
 @dataclass(frozen=True)
 class CrossValResult:
     best_lambda: float
     mae: float
     mse: float
     r2: float
-
-
-def _fold_r2(y_true: np.ndarray, y_pred: np.ndarray, train_mean: float) -> float:
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - train_mean) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else -math.inf
-    return 1.0 - ss_res / ss_tot
 
 
 def cross_validate(
@@ -229,39 +205,78 @@ def cross_validate(
     """Seeded k-fold grid search; best lambda by lowest mean out-of-fold MSE.
 
     Out-of-fold R^2 measures against the training-fold mean, so a predictor
-    no better than that baseline scores at or below zero.
+    no better than that baseline scores at or below zero. The intercept
+    (column 0) is not penalized.
+
+    No BLAS or LAPACK routine touches the numbers, so the bytes do not depend
+    on the kernel the machine's BLAS picks: every sum adds one term at a time
+    (``np.bincount`` in row order, ``np.cumsum``), and the fold x lambda
+    normal systems are solved together by :func:`_solve_positive_definite`.
     """
-    n = len(y)
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
+    if not lambda_grid or not all(lam > 0 for lam in lambda_grid):
+        raise ValueError(f"lambda_grid must hold positive values, got {list(lambda_grid)}")
+    n, p = X.shape
     if n < folds:
         raise ValueError(f"{n} samples cannot fill {folds} folds")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    # one training split and normal system per fold, shared by every lambda
-    splits = []
-    for test_idx in np.array_split(perm, folds):
-        mask = np.ones(n, dtype=bool)
-        mask[test_idx] = False
-        X_train, y_train = X[mask], y[mask]
-        splits.append(
-            (X_train.T @ X_train, X_train.T @ y_train, float(y_train.mean()),
-             X[test_idx], y[test_idx])
-        )
+    fold_of = np.empty(n, dtype=np.int64)
+    for f, test_idx in enumerate(np.array_split(rng.permutation(n), folds)):
+        fold_of[test_idx] = f
+    size = np.bincount(fold_of, minlength=folds)[:, None]
 
-    results = []
-    for lam in lambda_grid:
-        maes, mses, r2s = [], [], []
-        for gram, moment, train_mean, X_test, y_test in splits:
-            pred = X_test @ _solve_ridge(gram, moment, lam)
-            err = pred - y_test
-            maes.append(float(np.mean(np.abs(err))))
-            mses.append(float(np.mean(err**2)))
-            r2s.append(_fold_r2(y_test, pred, train_mean))
-        results.append(
-            CrossValResult(
-                lam, float(np.mean(maes)), float(np.mean(mses)), float(np.mean(r2s))
-            )
-        )
-    return min(results, key=lambda r: r.mse)
+    def fold_sums(values: np.ndarray) -> np.ndarray:
+        """Per fold, the column sums of ``values`` over its rows."""
+        k = values.shape[1]
+        keys = fold_of[:, None] * k + np.arange(k)
+        return np.bincount(keys.ravel(), values.ravel(), folds * k).reshape(folds, k)
+
+    def training_sums(values: np.ndarray) -> np.ndarray:
+        """Per fold, the sums over its training rows: the other folds' sums,
+        added in fold order."""
+        others = ~np.eye(folds, dtype=bool)[:, :, None]
+        return np.cumsum(fold_sums(values)[None] * others, axis=1)[:, -1]
+
+    gram = training_sums((X[:, :, None] * X[:, None, :]).reshape(n, -1)).reshape(folds, p, p)
+    moment = training_sums(X * y[:, None])
+    train_mean = training_sums(y[:, None]) / (n - size)
+
+    lams = np.array(lambda_grid, dtype=float)
+    penalty = np.eye(p)
+    penalty[0, 0] = 0.0
+    systems = gram[:, None] + lams[:, None, None] * penalty
+    beta = _solve_positive_definite(systems, np.repeat(moment[:, None], len(lams), axis=1))
+    # out-of-fold predictions, one column per lambda
+    err = np.cumsum(X[:, None, :] * beta[fold_of], axis=2)[:, :, -1] - y[:, None]
+
+    ss_res = fold_sums(err**2)
+    ss_tot = fold_sums((y[:, None] - train_mean[fold_of]) ** 2)
+    flat = np.broadcast_to(ss_tot == 0.0, ss_res.shape)
+    r2 = 1.0 - ss_res / np.where(flat, 1.0, ss_tot)
+    r2[flat] = np.where(ss_res[flat] == 0.0, 1.0, -np.inf)
+    # per lambda, the mean over folds of each fold's score
+    scores = np.stack([fold_sums(np.abs(err)) / size, ss_res / size, r2])
+    mae, mse, r2 = (np.cumsum(scores, axis=1)[:, -1] / folds).tolist()
+    best = min(range(len(lams)), key=lambda l: mse[l])
+    return CrossValResult(lambda_grid[best], mae[best], mse[best], r2[best])
+
+
+def _solve_positive_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solutions x of ``a @ x = b`` for a stack of symmetric positive
+    definite systems, by Gaussian elimination without pivoting (which such
+    systems never need), one numpy operation per step and no BLAS."""
+    a, b = a.copy(), b.copy()
+    p = b.shape[-1]
+    for k in range(p):
+        factor = a[..., k + 1 :, k] / a[..., k, k, None]
+        a[..., k + 1 :, k:] -= factor[..., None] * a[..., None, k, k:]
+        b[..., k + 1 :] -= factor * b[..., k, None]
+    x = np.empty_like(b)
+    for k in reversed(range(p)):
+        x[..., k] = b[..., k] / a[..., k, k]
+        b[..., :k] -= a[..., :k, k] * x[..., k, None]
+    return x
 
 
 @dataclass(frozen=True)

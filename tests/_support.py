@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from cobalt.community import _GAIN_TOL, _Level, _draw
-from cobalt.evaluation import _solve_ridge
 from cobalt.model import EdgeArrays, MultiLayerNetwork, NodeRef, ScoreTable
 from cobalt.pruning import prune_network
 
@@ -680,10 +679,16 @@ def prune_graph(
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Penalized least squares with an unpenalized intercept (column 0), from
-    its own normal system: the one fit that each of ``cross_validate``'s
-    per-fold solves must equal. lam = 0 reduces to ordinary least squares and
-    raises on a singular normal system."""
-    return _solve_ridge(X.T @ X, X.T @ y, lam)
+    its own normal system solved by LAPACK: the fit that each of
+    ``cross_validate``'s per-fold solves must equal to rounding. lam = 0
+    reduces to ordinary least squares and raises on a singular normal system."""
+    penalty = np.eye(X.shape[1]) * lam
+    penalty[0, 0] = 0.0
+    system = X.T @ X + penalty
+    sv = np.linalg.svd(system, compute_uv=False)
+    if sv[-1] <= sv[0] * 1e-12:
+        raise np.linalg.LinAlgError("normal system is singular")
+    return np.linalg.solve(system, X.T @ y)
 
 
 def least_squares_oracle(X: np.ndarray, y: np.ndarray) -> np.ndarray:

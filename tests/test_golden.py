@@ -178,15 +178,13 @@ def test_cli_artifacts_match_golden(case, tmp_path, capsys):
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """select network.json and evaluate --trace on the golden planted case,
     each in a fresh interpreter whose OpenBLAS is told its thread count
-    before numpy loads. evaluate's bytes depend on the BLAS kernel, so its
-    two runs are compared with each other, not with its golden."""
+    before numpy loads."""
     case_dir = GOLDEN / "planted"
     tables = [str(case_dir / name) for name in ("scores.csv", "covariates.csv", "targets.csv")]
     network = str(case_dir / "expected" / "build" / "network.json")
     trace = str(case_dir / "expected" / "select" / "trace.json")
     common = ["--config", str(case_dir / "config.json")]
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    evaluated = []
     for threads in ("1", "2"):
         out = tmp_path / threads
         for argv in (
@@ -200,9 +198,28 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                 env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
             )
         assert _files(out / "select") == _files(case_dir / "expected" / "select_network")
-        evaluated.append(_files(out / "evaluate"))
-    assert sorted(evaluated[0]) == ["regression.csv", "regression.json"]
-    assert evaluated[0] == evaluated[1]
+        assert _files(out / "evaluate") == _files(case_dir / "expected" / "evaluate")
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_bytes_do_not_depend_on_the_blas_kernel(core, tmp_path):
+    """Every case's artifacts, written in a fresh interpreter whose OpenBLAS
+    is told which kernel to use before numpy loads, equal the goldens."""
+    code = (
+        "import sys; from pathlib import Path; import test_golden as g\n"
+        "for case in g.CASES: g.run_case(g.GOLDEN / case, Path(sys.argv[1]) / case)"
+    )
+    path = os.pathsep.join(
+        filter(None, [str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH")])
+    )
+    subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        check=True,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core),
+    )
+    for case in CASES:
+        assert _files(tmp_path / case) == _files(GOLDEN / case / "expected"), case
 
 
 def test_near_tie_case_has_one_near_tie_pair():
