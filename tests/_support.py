@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from cobalt.community import _GAIN_TOL, _Level, _draw
+from cobalt.community import _GAIN_TOL, SupraGraph, _Level, _draw
 from cobalt.model import EdgeArrays, MultiLayerNetwork, NodeRef, ScoreTable
 from cobalt.pruning import prune_network
 
@@ -554,6 +554,53 @@ def reference_refine(
         ref_size[chosen] += 1
         refined[v] = chosen
     return refined
+
+
+# ---------------------------------------------------------------------------
+# vertex optimality
+
+
+def improving_moves(
+    supra: SupraGraph, assignment: Mapping[NodeRef, int], gamma: float = 1.0
+) -> list[tuple[NodeRef, int | None, Fraction]]:
+    """Every single-vertex move of ``assignment`` that gains more than
+    ``_GAIN_TOL``, as (vertex, target community or None for a fresh one, gain).
+
+    Brute force in exact rational arithmetic on the supra-graph arrays: for
+    every vertex it scores every community it links to and a fresh one. A
+    gain is ``mu`` times the rise in Q, the unit of Leiden's move scores.
+    Moving v (layer l, strength k) from community a to b gains
+    ``w(v, b) - w(v, a) - gamma * k * (K_bl - (K_al - k)) / 2m_l``, with
+    w the link weight to a community's other members, K_cl the summed
+    strength of c's vertices in layer l and 2m_l the layer's summed strength.
+    """
+    comm = [assignment[v] for v in supra.vertices]
+    layer_of = supra.layer_of.tolist()
+    strength = [Fraction(k) for k in supra.strength.tolist()]
+    two_m: dict[int, Fraction] = {}
+    group: dict[tuple[int, int], Fraction] = {}
+    for v, k in enumerate(strength):
+        two_m[layer_of[v]] = two_m.get(layer_of[v], 0) + k
+        group[comm[v], layer_of[v]] = group.get((comm[v], layer_of[v]), 0) + k
+    ptr, indices = supra.indptr.tolist(), supra.indices.tolist()
+    weights = [Fraction(w) for w in supra.weights.tolist()]
+    g = Fraction(gamma)
+
+    moves = []
+    for v, node in enumerate(supra.vertices):
+        link: dict[int, Fraction] = {}
+        for e in range(ptr[v], ptr[v + 1]):
+            link[comm[indices[e]]] = link.get(comm[indices[e]], 0) + weights[e]
+        a, layer, k = comm[v], layer_of[v], strength[v]
+        scale = g * k / two_m[layer] if two_m[layer] else Fraction(0)
+        stay = link.get(a, 0) - scale * (group[a, layer] - k)
+        for b in [*link, None]:
+            if b == a:
+                continue
+            score = 0 if b is None else link[b] - scale * group.get((b, layer), 0)
+            if score - stay > _GAIN_TOL:
+                moves.append((node, b, score - stay))
+    return moves
 
 
 # ---------------------------------------------------------------------------

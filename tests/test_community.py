@@ -27,6 +27,7 @@ from _support import (
     clique_edges,
     co_membership,
     communities_connected,
+    improving_moves,
     mln_from_edges,
     modularity_oracle,
     multilayer_networks,
@@ -666,6 +667,58 @@ class TestPhasesMatchReference:
                 level, comm, strengths, 1.0, [1.0], np.random.default_rng(seed)
             )
             assert moves >= 1 and labels[0] == labels[1]
+
+
+class TestImprovingMovesOracle:
+    """The brute-force vertex-optimality check: no single vertex of an
+    enumerated optimum can move with a gain, and a misplaced vertex shows."""
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize(
+        "net",
+        [
+            two_triangles(),
+            two_cliques_bridged(3),
+            mln_from_edges(
+                {
+                    "B": clique_edges(["p", "q", "r"], 1.7) + [("r", "s", 0.4)],
+                    "A": [("p", "q", 2.0), ("q", "r", 0.3)],
+                },
+                couplings=[(e, "A", "B", 0.7) for e in "pqr"],
+            ),
+        ],
+        ids=["two-triangles", "bridged-cliques", "two-layers"],
+    )
+    def test_no_move_improves_an_enumerated_optimum(self, net, gamma):
+        _, blocks = best_partition_by_enumeration(net, gamma)
+        assignment = {v: i for i, block in enumerate(blocks) for v in block}
+        assert improving_moves(SupraGraph(net), assignment, gamma) == []
+
+    @staticmethod
+    def assert_gains_are_rises_in_q(net, assignment, moves):
+        mu = SupraGraph(net).total_weight
+        for node, target, gain in moves:
+            moved = {**assignment, node: max(assignment.values()) + 1 if target is None else target}
+            rise = modularity_oracle(net, moved) - modularity_oracle(net, assignment)
+            assert float(gain) == pytest.approx(mu * rise, rel=1e-12)
+
+    def test_finds_the_one_move_of_a_misplaced_vertex(self):
+        edges = clique_edges(["a0", "a1", "a2", "a3"]) + clique_edges(["b0", "b1", "b2", "b3"], 2.0)
+        net = mln_from_edges({"L": edges + [("a0", "b0", 4.0)]})
+        # b0 sits with the a clique; its own clique outweighs the bridge,
+        # yet the bridge keeps a fresh community from gaining
+        assignment = {v: int(v.entity[0] == "b" and v.entity != "b0") for v in net.nodes}
+        moves = improving_moves(SupraGraph(net), assignment)
+        assert [(v, target) for v, target, _ in moves] == [(NodeRef("b0", "L"), 1)]
+        self.assert_gains_are_rises_in_q(net, assignment, moves)
+
+    def test_scores_a_fresh_community(self):
+        # with a lighter bridge, leaving for a fresh community gains too
+        net = two_cliques_bridged(3)
+        assignment = {v: int(v.entity[0] == "b" and v.entity != "b0") for v in net.nodes}
+        moves = improving_moves(SupraGraph(net), assignment)
+        assert [(v.entity, target) for v, target, _ in moves] == [("b0", 1), ("b0", None)]
+        self.assert_gains_are_rises_in_q(net, assignment, moves)
 
 
 class TestNetworkxOracles:
