@@ -10,7 +10,6 @@ using ridge regression with seeded k-fold cross-validation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass, field, replace
 from typing import Mapping, Sequence
 
