@@ -573,15 +573,16 @@ def _finite(quality: float, gamma: float) -> float:
 def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResult:
     """Detect communities; deterministic for a fixed (graph, config) pair.
 
-    The returned quality always equals ``multislice_modularity`` of the
-    returned partition, every community induces a connected subgraph, and
-    the per-pass history is non-decreasing. Communities are numbered
-    0..k-1 in order of their first vertex in ``supra.vertices``. A
-    singleton or pass quality that is not finite raises ``ArithmeticError``
-    before the next pass runs.
+    On a graph with an edge the returned quality equals
+    ``multislice_modularity`` of the returned partition; on an edgeless
+    graph, where that raises, every vertex is its own community at 0.0.
+    Every community induces a connected subgraph, and the per-pass history
+    is non-decreasing. Communities are numbered 0..k-1 in order of their
+    first vertex in ``supra.vertices``. A singleton or pass quality that is
+    not finite raises ``ArithmeticError`` before the next pass runs.
     """
     if supra.vertex_count == 0:
-        raise ValueError("graph has no vertices")
+        raise ValueError(f"graph has no vertices in layers {list(supra.layers)}")
     if supra.total_weight <= 0.0:
         assignment = {v: i for i, v in enumerate(supra.vertices)}
         return LeidenResult(Partition(assignment, 0.0), 0.0, (0.0,))

@@ -41,10 +41,6 @@ class InputFormatError(ValueError):
     """Malformed input file; the message names the offending column or row."""
 
 
-def _float_repr(value: float) -> str:
-    return f"{value:.17g}"
-
-
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -240,36 +236,26 @@ def _artifact(raw: Any, kind: str, version: int) -> dict:
     return raw
 
 
-def _edge_arrays(raw: dict, name: str, vertices: tuple[NodeRef, ...]) -> EdgeArrays:
-    """Columns ``a``, ``b`` (ids into ``vertices``) and ``w`` of edge field ``name``."""
-    columns, n = _field(raw, name, dict), len(vertices)
-    a, b, w = (columns.get(key) for key in "abw")
-    if not all(type(col) is list for col in (a, b, w)) or not len(a) == len(b) == len(w):
-        raise InputFormatError(f"artifact field {name!r} needs lists 'a', 'b', 'w' of one length")
-    for ids in (a, b):
-        # the range first: np.array raises OverflowError on an id past int64
-        if not set(map(type, ids)) <= {int} or ids and not 0 <= min(ids) <= max(ids) < n:
-            raise InputFormatError(f"artifact field {name!r} holds an id outside 0..{n - 1}")
+def _edge_arrays(raw: dict, name: str) -> EdgeArrays:
+    """Columns ``a``, ``b``, ``w`` of edge field ``name``; the network checks the edge set."""
+    a, b, w = map(_field(raw, name, dict).get, "abw")
+    if not all(type(col) is list for col in (a, b, w)):
+        raise InputFormatError(f"artifact field {name!r} needs lists 'a', 'b' and 'w'")
+    if not {*map(type, a), *map(type, b)} <= {int}:
+        raise InputFormatError(f"artifact field {name!r} holds an id that is not an int")
     if not set(map(type, w)) <= set(_NUMBER):
         raise InputFormatError(f"artifact field {name!r} holds a weight that is not a number")
     try:
-        w = np.array(w, dtype=np.float64)
-    except OverflowError:  # an int weight past the float range
-        raise InputFormatError(f"artifact field {name!r} holds a weight past 1.8e308") from None
-    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    key = np.sort(a * n + b)
-    repeated = key[1:][key[1:] == key[:-1]]
-    if repeated.size:
-        i, j = divmod(int(repeated[0]), n)
-        raise InputFormatError(f"artifact field {name!r} repeats edge {vertices[i]}-{vertices[j]}")
-    return EdgeArrays(a, b, w)
+        return EdgeArrays(*(np.array(x, dtype=np.int64) for x in (a, b)), np.array(w, dtype=float))
+    except OverflowError:  # an id past int64 or an int weight past the float range
+        raise InputFormatError(f"artifact field {name!r} holds a number out of range") from None
 
 
 def network_from_dict(raw: Any) -> MultiLayerNetwork:
     raw = _artifact(raw, "network", 2)
     layers = _layers(raw)
     vertices = tuple(map(NodeRef, *_columns(raw, "vertices", (str, str))))
-    intra, inter = (_edge_arrays(raw, name, vertices) for name in ("intra_edges", "inter_edges"))
+    intra, inter = (_edge_arrays(raw, name) for name in ("intra_edges", "inter_edges"))
     try:
         return MultiLayerNetwork(layers, vertices, intra, inter)
     except ValueError as exc:  # the message opens with the part refused
@@ -519,7 +505,7 @@ def export_graphml(
     for kind, (a, b, weights) in (("intra", network.intra), ("inter", network.inter)):
         for i, j, w in zip(a.tolist(), b.tolist(), weights.tolist()):
             lines.append(f'    <edge source="{vertex_ids[i]}" target="{vertex_ids[j]}">')
-            lines.append(f'      <data key="d_weight">{_float_repr(w)}</data>')
+            lines.append(f'      <data key="d_weight">{w:.17g}</data>')
             lines.append(f'      <data key="d_kind">{kind}</data>')
             lines.append("    </edge>")
     lines.append("  </graph>")

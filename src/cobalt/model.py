@@ -119,9 +119,11 @@ class MultiLayerNetwork:
     block; ``layer_of`` gives each vertex's layer index. Edges live in two
     :class:`EdgeArrays` over these ids, ``intra`` with ``a < b`` and
     ``inter`` with ``a`` in the layer whose name sorts first: both are the
-    canonical key order. The constructor takes vertices and edges in this
-    layout and checks them, never reorders them; an error opens with the
-    part it refuses: ``layers``, ``vertices``, ``intra`` or ``inter``.
+    canonical key order. The constructor alone decides what a valid network
+    is: it checks vertices and edges in this layout, never reorders them.
+    Each edge set is 1-D numpy columns of one length, with integer ids into
+    ``vertices`` and no edge listed twice. An error opens with the part it
+    refuses: ``layers``, ``vertices``, ``intra`` or ``inter``.
     ``nodes`` (the vertex set), ``intra_edges`` and ``inter_edges``
     (read-only mapping views of the edges) are built on first access.
     """
@@ -149,11 +151,13 @@ class MultiLayerNetwork:
                 raise ValueError(f"vertices: {v} is {problem}")
         self.layer_of = np.array([i for i, _ in keys], dtype=np.int64)
         self.intra, self.inter = intra, inter
-        for array in (self.layer_of, *self.intra, *self.inter):
-            array.flags.writeable = False
-        name_rank = layer_name_rank(self.layers)
-        for kind, (a, b, w) in (("intra", self.intra), ("inter", self.inter)):
-            outside = (np.minimum(a, b) < 0) | (np.maximum(a, b) >= len(self.vertices))
+        n, v, name_rank = len(self.vertices), self.vertices, layer_name_rank(self.layers)
+        for kind, (a, b, w) in (("intra", intra), ("inter", inter)):
+            arrays = all(isinstance(x, np.ndarray) and x.ndim == 1 for x in (a, b, w))
+            ids = arrays and {a.dtype.kind, b.dtype.kind} <= {"i", "u"}
+            if not (ids and len(a) == len(b) == len(w)):
+                raise ValueError(f"{kind}: needs 1-D numpy arrays of one length, with integer ids")
+            outside = (np.minimum(a, b) < 0) | (np.maximum(a, b) >= n)
             if outside.any():
                 i = int(outside.argmax())
                 raise ValueError(f"{kind} edge {a[i]}-{b[i]} has endpoint outside node set")
@@ -161,12 +165,11 @@ class MultiLayerNetwork:
             if kind == "intra":
                 rule, canonical = (la != lb, "edge {}-{} spans layers"), a < b
             else:
-                entity = np.array([v.entity for v in self.vertices], dtype=object)
+                entity = np.array([u.entity for u in v], dtype=object)
                 split = (entity[a] != entity[b]) | (la == lb)
                 rule = split, "edge {}-{} must couple one entity across layers"
                 canonical = name_rank[la] < name_rank[lb]
-            # every rule over all edges at once; the first edge breaking the
-            # first broken rule is named
+            # all edges at once; the first bad edge of the first broken rule is named
             for bad, message in (
                 rule,
                 (a == b, "self-loop on {}"),
@@ -175,8 +178,15 @@ class MultiLayerNetwork:
             ):
                 if bad.any():
                     i = int(bad.argmax())
-                    v = self.vertices
                     raise ValueError(f"{kind} " + message.format(v[a[i]], v[b[i]], float(w[i])))
+            a, b = (x.astype(np.int64, copy=False) for x in (a, b))  # a * n + b must not wrap
+            key = np.sort(a * n + b, kind="stable")  # linear time on already sorted keys
+            repeated = key[1:][key[1:] == key[:-1]]
+            if repeated.size:
+                i, j = divmod(int(repeated[0]), n)
+                raise ValueError(f"{kind} edge {v[i]}-{v[j]} is listed twice")
+        for array in (self.layer_of, *intra, *inter):
+            array.flags.writeable = False
 
     def _view(self, edges: EdgeArrays) -> Mapping[Edge, float]:
         v = self.vertices

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cobalt import cli
 from cobalt import io as cio
 from cobalt.community import LeidenConfig
 from cobalt.config import PipelineConfig, PruningConfig, RegressionConfig, SweepConfig
-from cobalt.model import MultiLayerNetwork, NodeRef, Partition, ScoreTable
+from cobalt.model import EdgeArrays, MultiLayerNetwork, NodeRef, Partition, ScoreTable
 from cobalt.pipeline import build_pruned_network
 
 from _support import (
@@ -209,11 +209,50 @@ class TestNetworkJson:
 
     def test_repeated_edge_named(self):
         raw = copy.deepcopy(TestCliMalformedArtifacts.NETWORK_WITH_REPEATED_EDGE)
-        with pytest.raises(cio.InputFormatError, match="repeats edge .*'a'.*'b'"):
+        with pytest.raises(
+            cio.InputFormatError, match="'intra_edges': intra edge .*'a'.*'b'.* is listed twice"
+        ):
             cio.network_from_dict(raw)
         raw["intra_edges"]["b"][1] = 2
-        with pytest.raises(cio.InputFormatError, match="'intra_edges' holds an id outside 0..1"):
+        with pytest.raises(
+            cio.InputFormatError, match="'intra_edges': intra edge 0-2 has endpoint outside"
+        ):
             cio.network_from_dict(raw)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_repeated_edge_refused_by_network_and_reader(self, data):
+        """A copy of any one edge, appended to its edge set, is refused by the
+        network constructor and, in a network.json document, by the reader."""
+        net = data.draw(multilayer_networks())
+        kinds = [k for k in ("intra", "inter") if len(getattr(net, k).w)]
+        assume(kinds)
+        kind = data.draw(st.sampled_from(kinds))
+        edges = getattr(net, kind)
+        k = data.draw(st.integers(0, len(edges.w) - 1))
+        grown = EdgeArrays(*(np.append(column, column[k]) for column in edges))
+        parts = {"intra": net.intra, "inter": net.inter, kind: grown}
+        with pytest.raises(ValueError, match=f"^{kind} edge .* is listed twice"):
+            MultiLayerNetwork(net.layers, net.vertices, parts["intra"], parts["inter"])
+        raw = cio.network_to_dict(net)
+        for column in raw[f"{kind}_edges"].values():
+            column.append(column[k])
+        with pytest.raises(cio.InputFormatError, match=f"^artifact field '{kind}_edges'"):
+            cio.network_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            # the reader refuses what int64 cannot hold; the network, ids outside its vertices
+            ([2**63], "'intra_edges' holds a number out of range"),
+            ([-(2**63) - 1], "'intra_edges' holds a number out of range"),
+            ([2**63 - 1], "'intra_edges': intra edge 9223372036854775807-1 has endpoint outside"),
+        ],
+        ids=["past_max", "past_min", "max"],
+    )
+    def test_id_past_int64_named(self, ids, message):
+        with pytest.raises(cio.InputFormatError, match=message):
+            cio.network_from_dict(small_network(edges("intra_edges", a=ids)))
 
     def test_rejects_foreign_payload(self):
         with pytest.raises(cio.InputFormatError):
@@ -452,6 +491,17 @@ class TestCliBuild:
 
 
 class TestCliSelect:
+    def test_layer_without_vertices_named(self, tmp_path, capsys):
+        def all_in_a(raw):
+            raw["vertices"].pop()
+            raw["inter_edges"] = {"a": [], "b": [], "w": []}
+
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(small_network(all_in_a)))
+        assert cli.main(["select", str(network), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "no vertices" in err and "'B'" in err
+
     def test_trace_and_partitions_written(self, score_csv, tmp_path, capsys):
         out = tmp_path / "sel"
         code = cli.main(["select", score_csv, "--out-dir", str(out), "--seed", "5"])

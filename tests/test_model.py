@@ -257,6 +257,46 @@ def test_array_edges_follow_the_same_rules(layers, nodes, intra, inter, message)
         network_of(layers, nodes, {**valid_intra, **intra}, {**valid_inter, **inter})
 
 
+def _edges(a, b, w, ids=np.int64):
+    return EdgeArrays(np.array(a, dtype=ids), np.array(b, dtype=ids), np.array(w, dtype=float))
+
+
+_NO_EDGES = _edges([], [], [])
+_SHAPES = "needs 1-D numpy arrays of one length, with integer ids"
+
+
+@pytest.mark.parametrize(
+    "intra, inter, message",
+    [
+        (_edges([0, 0, 1], [1, 1, 2], [1.0] * 3), _NO_EDGES, "intra edge .* is listed twice"),
+        (_edges([0, 1], [1, 2], [1.0, 2.0, 3.0]), _NO_EDGES, f"intra: {_SHAPES}"),
+        (_edges([0, 1], [1, 2], [1.0]), _NO_EDGES, f"intra: {_SHAPES}"),
+        (_edges([[0, 1]], [[1, 2]], [[1.0, 1.0]]), _NO_EDGES, f"intra: {_SHAPES}"),
+        (_edges([0, 1], [1, 2], [1.0, 1.0], ids=float), _NO_EDGES, f"intra: {_SHAPES}"),
+        (EdgeArrays([0], [1], [1.0]), _NO_EDGES, f"intra: {_SHAPES}"),
+        (_NO_EDGES, _edges([0, 0], [3, 3], [1.0, 1.0]), "inter edge .* is listed twice"),
+    ],
+    ids=["repeated", "w_longer", "w_shorter", "2d", "float_ids", "lists", "repeated_coupling"],
+)
+def test_edge_set_is_checked_whole(intra, inter, message):
+    """Layer A holds vertices 0..2 and layer B vertex 3, entity a's copy."""
+    vertices = [NodeRef("a", "A"), NodeRef("b", "A"), NodeRef("c", "A"), NodeRef("a", "B")]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        MultiLayerNetwork(("A", "B"), vertices, intra, inter)
+
+
+@pytest.mark.parametrize("ids, n, far", [(np.int8, 127, (2, 3)), (np.uint16, 400, (163, 337))])
+def test_narrow_ids_keep_edges_apart(ids, n, far):
+    """The repeat keys ``a * n + b`` are formed in int64: in the ids' own
+    dtype the key of edge ``far`` would wrap onto that of edge 0-1."""
+    vertices = [NodeRef(f"e{k:03d}", "A") for k in range(n)]
+    a, b = [0, far[0]], [1, far[1]]
+    network = MultiLayerNetwork(("A",), vertices, _edges(a, b, [1.0, 1.0], ids), _NO_EDGES)
+    assert len(network.intra_edges) == 2
+    with pytest.raises(ValueError, match="^intra edge .*'e000'.*'e001'.* is listed twice"):
+        MultiLayerNetwork(("A",), vertices, _edges([0, *a], [1, *b], [1.0] * 3, ids), _NO_EDGES)
+
+
 class TestEdgeArrays:
     def test_views_are_read_only_and_follow_the_arrays(self):
         net = network_of(
