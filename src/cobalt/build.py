@@ -56,10 +56,10 @@ def normalize_layer(table: ScoreTable, layer: str) -> dict[str, float]:
     return dict(zip(entities, z.tolist()))
 
 
-def edge_weight(z_a, z_b, eps: float = EPSILON):
+def edge_weight(z_a, z_b):
     """Weight 1/|z_a - z_b| of an intra-layer or coupling edge, clamped to
-    1/eps for near-identical scores. Accepts scalars or arrays."""
-    return 1.0 / np.maximum(np.abs(z_a - z_b), eps)
+    1/EPSILON for near-identical scores. Accepts scalars or arrays."""
+    return 1.0 / np.maximum(np.abs(z_a - z_b), EPSILON)
 
 
 def build_network(

@@ -261,8 +261,8 @@ class _Level(NamedTuple):
     lists super-vertex v's (layer, strength) terms in order of first
     appearance among its members, over ``n_layers`` layers. Every per-layer
     strength sum is one ``np.bincount`` over its entries, which run in
-    vertex order. ``terms[v]`` holds row v as a list of pairs for the
-    per-vertex loops; null scores add them in that order.
+    vertex order. The per-vertex loops slice row v out of :meth:`pairs`;
+    null scores add its terms in that order.
     """
 
     indptr: np.ndarray
@@ -272,25 +272,20 @@ class _Level(NamedTuple):
     t_layers: np.ndarray
     t_k: np.ndarray
     n_layers: int
-    terms: list[list[tuple[int, float]]]
 
     @property
     def n(self) -> int:
-        return len(self.terms)
+        return len(self.t_ptr) - 1
 
     @property
     def owner(self) -> np.ndarray:
         """The vertex of every term-table entry."""
         return np.repeat(np.arange(self.n), np.diff(self.t_ptr))
 
-
-def _level(
-    adjacency: tuple, t_ptr: np.ndarray, t_layers: np.ndarray, t_k: np.ndarray, n_layers: int
-) -> _Level:
-    """Level over CSR ``adjacency`` (indptr, indices, weights) and the term table."""
-    pairs, bounds = list(zip(t_layers.tolist(), t_k.tolist())), t_ptr.tolist()
-    terms = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
-    return _Level(*adjacency, t_ptr, t_layers, t_k, n_layers, terms)
+    def pairs(self) -> tuple[list[tuple[int, float]], list[int]]:
+        """The term table as one flat list of (layer, strength) pairs and
+        its row bounds: row v is ``pairs[bounds[v]:bounds[v + 1]]``."""
+        return list(zip(self.t_layers.tolist(), self.t_k.tolist())), self.t_ptr.tolist()
 
 
 def _null_scores(
@@ -331,6 +326,7 @@ def _local_move(
     """
     ptr = level.indptr.tolist()
     indices, weights = level.indices, level.weights
+    pairs, bounds = level.pairs()
     queue = deque(rng.permutation(level.n).tolist())
     queued = np.ones(level.n, dtype=bool)
     # each vertex's terms added left to right, as stay_null is below: the
@@ -349,7 +345,7 @@ def _local_move(
         v = queue.popleft()
         queued[v] = False
         current = int(comm[v])
-        terms = level.terms[v]
+        terms = pairs[bounds[v] : bounds[v + 1]]
 
         lo, hi = ptr[v], ptr[v + 1]
         nbrs = indices[lo:hi]
@@ -438,6 +434,7 @@ def _refine(
     inside = np.repeat(comm, np.diff(level.indptr)) == comm[level.indices]
     ptr = np.concatenate(([0], np.cumsum(inside)))[level.indptr].tolist()
     indices, weights = level.indices[inside], level.weights[inside]
+    pairs, bounds = level.pairs()
     refined = np.arange(level.n)
     ref_strengths = _community_strengths(level, refined, level.n)
     ref_size = [1] * level.n
@@ -451,7 +448,7 @@ def _refine(
         # v is still alone, so no neighbour shares its refined community
         weight_to = np.bincount(refined[indices[lo:hi]], weights=weights[lo:hi])
         cands = weight_to.astype(bool).nonzero()[0]
-        terms = level.terms[v]
+        terms = pairs[bounds[v] : bounds[v + 1]]
         raw = weight_to[cands] - gamma * _null_scores(
             terms, ref_strengths, cands, inv_layer_weight
         )
@@ -531,7 +528,7 @@ def _aggregate(
     n_layers = level.n_layers
     keys = sv[level.owner] * n_layers + level.t_layers
     terms = _merge_rows(keys, level.t_k, n_new, n_layers)
-    return _level(adjacency, *terms, n_layers), new_comm, sv
+    return _Level(*adjacency, *terms, n_layers), new_comm, sv
 
 
 def _community_strengths(level: _Level, comm: np.ndarray, size: int) -> np.ndarray:
@@ -596,7 +593,7 @@ def leiden(supra: SupraGraph, cfg: LeidenConfig = LeidenConfig()) -> LeidenResul
 
     # every vertex has one term, its own layer and strength
     terms = (np.arange(supra.vertex_count + 1), supra.layer_of, supra.strength)
-    level = _level((supra.indptr, supra.indices, supra.weights), *terms, len(supra.layers))
+    level = _Level(supra.indptr, supra.indices, supra.weights, *terms, len(supra.layers))
     comm = np.arange(level.n)
     top = np.arange(level.n)  # level vertex holding each supra-graph vertex
     # a move changes Q by its gain / mu; refinement and aggregation keep the

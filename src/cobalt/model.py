@@ -4,7 +4,7 @@ A :class:`ScoreTable` holds one numeric score per (entity, layer) cell, with
 missingness kept explicit: absent cells are simply not present in the mapping,
 never encoded as a sentinel value. A :class:`MultiLayerNetwork` keeps its
 edges as numpy arrays over vertex ids (see its docstring for the layout). All
-types are immutable after construction and safe to share between workers.
+types are immutable after construction.
 """
 
 from __future__ import annotations

@@ -411,6 +411,15 @@ def _reference_null_scores(
     return total
 
 
+def _vertex_terms(level: _Level) -> list[list[tuple[int, float]]]:
+    """Row v of the level's term table as a list of (layer, strength) pairs."""
+    ptr = level.t_ptr.tolist()
+    return [
+        list(zip(level.t_layers[a:b].tolist(), level.t_k[a:b].tolist()))
+        for a, b in zip(ptr, ptr[1:])
+    ]
+
+
 def reference_local_move(
     level: _Level,
     comm: np.ndarray,
@@ -429,10 +438,11 @@ def reference_local_move(
     indices, weights = level.indices, level.weights
     queue = deque(rng.permutation(level.n).tolist())
     queued = np.ones(level.n, dtype=bool)
+    vertex_terms = _vertex_terms(level)
     # terms added left to right: the builtin sum of Python 3.12 and later
     # compensates float error, and would give other bits
     self_null = []
-    for terms in level.terms:
+    for terms in vertex_terms:
         null = 0.0
         for layer, k in terms:
             null = null + k * k * inv_layer_weight[layer]
@@ -445,7 +455,7 @@ def reference_local_move(
         v = queue.popleft()
         queued[v] = False
         current = int(comm[v])
-        terms = level.terms[v]
+        terms = vertex_terms[v]
 
         nbrs = indices[ptr[v] : ptr[v + 1]]
         nbr_comm = comm[nbrs]
@@ -518,6 +528,7 @@ def reference_refine(
     ref_strengths = np.zeros((level.n_layers, level.n))
     ref_strengths[level.t_layers, np.repeat(np.arange(level.n), np.diff(level.t_ptr))] = level.t_k
     ref_size = [1] * level.n
+    vertex_terms = _vertex_terms(level)
 
     for v in rng.permutation(level.n).tolist():
         own = int(refined[v])
@@ -531,7 +542,7 @@ def reference_refine(
             refined[nbrs[linked]], weights=weights[ptr[v] : ptr[v + 1]][linked]
         )
         cands = weight_to.astype(bool).nonzero()[0]
-        terms = level.terms[v]
+        terms = vertex_terms[v]
         raw = weight_to[cands] - gamma * _reference_null_scores(
             terms, ref_strengths, cands, inv_layer_weight
         )
