@@ -4,15 +4,19 @@ CSV inputs: scores (``entity,<layer>,...``, empty cell = missing),
 covariates (``entity,age,gender``), targets (``entity,<layer>_t1,...``).
 Artifacts are deterministic JSON: compact, on one line with sorted keys and
 no timestamps, then a newline. ``python -m json.tool --indent 1 --sort-keys``
-lays one out for reading. ``network.json`` (version 2) is columnar: its
+lays one out for reading. ``network.json`` (version 3) is columnar: its
 ``vertices`` in vertex order, then each edge set as parallel columns of
-vertex ids ``a``, ``b`` and weights ``w``. Readers refuse, naming the field,
-a value not of the exact JSON type asked (``true`` is no number) and a vertex
-listed or assigned twice. Networks can also be exported to attributed GraphML.
+vertex ids ``a``, ``b`` and weights ``w``, each column one base64 string of
+little-endian bytes (``<i4`` ids, ``<f8`` weights), so no column becomes one
+Python object per number. Readers refuse, naming the field, a value not of
+the exact JSON type asked (``true`` is no number), a column that is not
+strict base64 of whole items, and a vertex listed or assigned twice.
+Networks can also be exported to attributed GraphML, the readable export.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import csv
 import json
@@ -173,16 +177,28 @@ def _json_safe(value: Any) -> Any:
     return "inf" if value > 0 else "-inf"
 
 
+# the bytes of each edge column in network.json: ids fit <i4, being below
+# the vertex count
+_EDGE_COLUMNS = {"a": np.dtype("<i4"), "b": np.dtype("<i4"), "w": np.dtype("<f8")}
+
+
+def _edge_columns(edges: EdgeArrays) -> dict[str, str]:
+    return {
+        key: base64.b64encode(column.astype(dtype, copy=False).tobytes()).decode("ascii")
+        for (key, dtype), column in zip(_EDGE_COLUMNS.items(), edges)
+    }
+
+
 def network_to_dict(
     network: MultiLayerNetwork, pruning_meta: dict | None = None
 ) -> dict:
     return {
         "format": "cobalt-network",
-        "version": 2,
+        "version": 3,
         "layers": list(network.layers),
         "vertices": [list(v) for v in network.vertices],
-        "intra_edges": dict(zip("abw", (x.tolist() for x in network.intra))),
-        "inter_edges": dict(zip("abw", (x.tolist() for x in network.inter))),
+        "intra_edges": _edge_columns(network.intra),
+        "inter_edges": _edge_columns(network.inter),
         "pruning": pruning_meta,
     }
 
@@ -238,21 +254,26 @@ def _artifact(raw: Any, kind: str, version: int) -> dict:
 
 def _edge_arrays(raw: dict, name: str) -> EdgeArrays:
     """Columns ``a``, ``b``, ``w`` of edge field ``name``; the network checks the edge set."""
-    a, b, w = map(_field(raw, name, dict).get, "abw")
-    if not all(type(col) is list for col in (a, b, w)):
-        raise InputFormatError(f"artifact field {name!r} needs lists 'a', 'b' and 'w'")
-    if not {*map(type, a), *map(type, b)} <= {int}:
-        raise InputFormatError(f"artifact field {name!r} holds an id that is not an int")
-    if not set(map(type, w)) <= set(_NUMBER):
-        raise InputFormatError(f"artifact field {name!r} holds a weight that is not a number")
-    try:
-        return EdgeArrays(*(np.array(x, dtype=np.int64) for x in (a, b)), np.array(w, dtype=float))
-    except OverflowError:  # an id past int64 or an int weight past the float range
-        raise InputFormatError(f"artifact field {name!r} holds a number out of range") from None
+    field, columns = _field(raw, name, dict), []
+    for key, dtype in _EDGE_COLUMNS.items():
+        where = f"artifact field {name!r}: column {key!r}"
+        if type(field.get(key)) is not str:
+            raise InputFormatError(f"{where} is not a base64 string")
+        try:
+            data = base64.b64decode(field[key], validate=True)
+        except ValueError:  # binascii.Error, or a character outside ASCII
+            raise InputFormatError(f"{where} is not base64") from None
+        if len(data) % dtype.itemsize:
+            raise InputFormatError(
+                f"{where} holds {len(data)} bytes, not whole {dtype.itemsize}-byte items"
+            )
+        columns.append(np.frombuffer(data, dtype=dtype))
+    a, b, w = columns  # the network stores the ids as int64
+    return EdgeArrays(a, b, w.astype(np.float64, copy=False))
 
 
 def network_from_dict(raw: Any) -> MultiLayerNetwork:
-    raw = _artifact(raw, "network", 2)
+    raw = _artifact(raw, "network", 3)
     layers = _layers(raw)
     vertices = tuple(map(NodeRef, *_columns(raw, "vertices", (str, str))))
     intra, inter = (_edge_arrays(raw, name) for name in ("intra_edges", "inter_edges"))

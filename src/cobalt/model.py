@@ -122,8 +122,9 @@ class MultiLayerNetwork:
     canonical key order. The constructor alone decides what a valid network
     is: it checks vertices and edges in this layout, never reorders them.
     Each edge set is 1-D numpy columns of one length, with integer ids into
-    ``vertices`` and no edge listed twice. An error opens with the part it
-    refuses: ``layers``, ``vertices``, ``intra`` or ``inter``.
+    ``vertices``, stored as int64, and no edge listed twice. An error opens
+    with the part it refuses: ``layers``, ``vertices``, ``intra`` or
+    ``inter``.
     ``nodes`` (the vertex set), ``intra_edges`` and ``inter_edges``
     (read-only mapping views of the edges) are built on first access.
     """
@@ -150,8 +151,8 @@ class MultiLayerNetwork:
                 problem = "listed twice" if key == before else "out of order"
                 raise ValueError(f"vertices: {v} is {problem}")
         self.layer_of = np.array([i for i, _ in keys], dtype=np.int64)
-        self.intra, self.inter = intra, inter
         n, v, name_rank = len(self.vertices), self.vertices, layer_name_rank(self.layers)
+        checked = []
         for kind, (a, b, w) in (("intra", intra), ("inter", inter)):
             arrays = all(isinstance(x, np.ndarray) and x.ndim == 1 for x in (a, b, w))
             ids = arrays and {a.dtype.kind, b.dtype.kind} <= {"i", "u"}
@@ -161,6 +162,8 @@ class MultiLayerNetwork:
             if outside.any():
                 i = int(outside.argmax())
                 raise ValueError(f"{kind} edge {a[i]}-{b[i]} has endpoint outside node set")
+            # stored as int64, so no consumer computes in a narrow id dtype
+            a, b = (x.astype(np.int64, copy=False) for x in (a, b))
             la, lb = self.layer_of[a], self.layer_of[b]
             if kind == "intra":
                 rule, canonical = (la != lb, "edge {}-{} spans layers"), a < b
@@ -179,13 +182,14 @@ class MultiLayerNetwork:
                 if bad.any():
                     i = int(bad.argmax())
                     raise ValueError(f"{kind} " + message.format(v[a[i]], v[b[i]], float(w[i])))
-            a, b = (x.astype(np.int64, copy=False) for x in (a, b))  # a * n + b must not wrap
             key = np.sort(a * n + b, kind="stable")  # linear time on already sorted keys
             repeated = key[1:][key[1:] == key[:-1]]
             if repeated.size:
                 i, j = divmod(int(repeated[0]), n)
                 raise ValueError(f"{kind} edge {v[i]}-{v[j]} is listed twice")
-        for array in (self.layer_of, *intra, *inter):
+            checked.append(EdgeArrays(a, b, w))
+        self.intra, self.inter = checked
+        for array in (self.layer_of, *self.intra, *self.inter):
             array.flags.writeable = False
 
     def _view(self, edges: EdgeArrays) -> Mapping[Edge, float]:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobalt.build import build_network
+from cobalt.community import SupraGraph
 from cobalt.config import PipelineConfig
 from cobalt.model import (
     EdgeArrays,
@@ -14,8 +16,9 @@ from cobalt.model import (
     validate_score_table,
 )
 from cobalt.pipeline import build_pruned_network
+from cobalt.pruning import prune_network
 
-from _support import network_of
+from _support import mln_from_edges, network_of, planted_table
 
 
 def make_table(cells, entities=("e1", "e2", "e3"), layers=("A", "B")):
@@ -295,6 +298,53 @@ def test_narrow_ids_keep_edges_apart(ids, n, far):
     assert len(network.intra_edges) == 2
     with pytest.raises(ValueError, match="^intra edge .*'e000'.*'e001'.* is listed twice"):
         MultiLayerNetwork(("A",), vertices, _edges([0, *a], [1, *b], [1.0] * 3, ids), _NO_EDGES)
+
+
+def _with_ids(network: MultiLayerNetwork, ids) -> MultiLayerNetwork:
+    """``network`` rebuilt from its edge arrays with ids of dtype ``ids``."""
+    intra, inter = (
+        EdgeArrays(e.a.astype(ids), e.b.astype(ids), e.w) for e in (network.intra, network.inter)
+    )
+    return MultiLayerNetwork(network.layers, network.vertices, intra, inter)
+
+
+def _path_network(entities: int) -> MultiLayerNetwork:
+    """A path over ``entities`` entities in layers A and B, each entity coupled once."""
+    names = [f"e{k:03d}" for k in range(entities)]
+    path = [(x, y, 1.0 + k % 3) for k, (x, y) in enumerate(zip(names, names[1:]))]
+    return mln_from_edges({"A": path, "B": path}, [(e, "A", "B", 0.5) for e in names])
+
+
+@pytest.mark.parametrize(
+    "ids, entities", [(np.int8, 20), (np.int16, 200), (np.int32, 200)]
+)
+def test_narrow_ids_give_the_int64_supragraph(ids, entities):
+    """The network stores int64 ids, so the supra-graph's sort key
+    ``rows * (n + L) + column`` does not wrap: in int8 and int16 it passes
+    the dtype's maximum on these 2-layer paths."""
+    network = _path_network(entities)
+    narrow = _with_ids(network, ids)
+    want, got = vars(SupraGraph(network)), vars(SupraGraph(narrow))
+    assert want.keys() == got.keys()
+    for name, value in want.items():
+        assert np.array_equal(got[name], value) if isinstance(value, np.ndarray) else (
+            got[name] == value
+        ), name
+    assert {x.dtype for x in (*narrow.intra[:2], *narrow.inter[:2])} == {np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("ids", [np.int8, np.int16, np.int32])
+def test_narrow_ids_give_the_int64_filter(ids):
+    """On 128 vertices the largest id is 127, the int8 maximum: the
+    filter's degree table must still have 128 slots."""
+    layers = {"A": [i % 4 for i in range(64)], "B": [i % 2 for i in range(64)]}
+    network = build_network(planted_table(64, layers, seed=3))
+    assert len(network.vertices) == 128
+    want = prune_network(network, alpha=0.05)
+    got = prune_network(_with_ids(network, ids), alpha=0.05)
+    assert 0 < len(want.intra.w) < len(network.intra.w)
+    for x, y in zip((*want.intra, *want.inter), (*got.intra, *got.inter)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class TestEdgeArrays:
